@@ -18,7 +18,7 @@ X = 3000
 
 def scan(ainvs, ells):
     red = global_reduce(WeierstrassModel(*ainvs))
-    table = trace_table(red.minimal_model, X)
+    table = trace_table(red, X)
     print(f"curve {red.minimal_model.ainvs()}  N = {red.conductor}")
     for ell in ells:
         rep = image_test(red, table, ell, X)

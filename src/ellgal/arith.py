@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class IncompleteFactorization(Exception):
@@ -72,22 +72,23 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-@dataclass(frozen=True)
-class PrimeSieve:
-    """Primes up to a fixed bound, built once and shared read-only."""
+def smallest_prime_factors(bound: int) -> list[int]:
+    """spf[n] = least prime factor of n for 2 <= n <= bound (spf[0] = 0, spf[1] = 1)."""
+    spf = list(range(bound + 1))
+    for p in range(2, math.isqrt(bound) + 1):
+        if spf[p] == p:
+            for m in range(p * p, bound + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
 
-    bound: int
-    primes: tuple[int, ...] = field(default=None)
 
-    def __post_init__(self):
-        if self.primes is None:
-            object.__setattr__(self, "primes", tuple(primes_up_to(self.bound)))
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __contains__(self, p):
-        return p in set(self.primes)
+def least_nonresidue(p: int) -> int:
+    """Least g >= 2 with (g|p) = -1, for an odd prime p."""
+    g = 2
+    while kronecker(g, p) != -1:
+        g += 1
+    return g
 
 
 # Deterministic Miller-Rabin bases, valid for all n < 3.3 * 10^24.

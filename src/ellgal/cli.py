@@ -9,6 +9,7 @@ import click
 
 from . import family as familymod
 from . import galois, symprime
+from .arith import IncompleteFactorization
 from .curve import SingularModel, WeierstrassModel, trace_table
 from .localdata import InvariantViolation, global_reduce, phi_order, tate
 from .localdata import NotAdditivePotGood
@@ -37,7 +38,7 @@ def _emit(data, fmt):
 
 
 def _guarded(fn):
-    """Shared exit-code policy: 1 for parse rejects, 2 for invariant violations."""
+    """Shared exit-code policy: 1 for parse rejects, 2 for internal failures."""
 
     def wrapper(*args, **kwargs):
         try:
@@ -47,6 +48,9 @@ def _guarded(fn):
             sys.exit(1)
         except InvariantViolation as exc:
             click.echo(f"invariant violation: {exc}", err=True)
+            sys.exit(2)
+        except (IncompleteFactorization, RuntimeError) as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(2)
 
     wrapper.__name__ = fn.__name__
@@ -90,9 +94,8 @@ def tate_cmd(curve, prime, fmt):
 @_guarded
 def ap(curve, bound, fmt):
     """Frobenius traces a_p for p <= X."""
-    model = _parse_curve(curve)
-    table = trace_table(model, bound)
-    red = global_reduce(model)
+    red = global_reduce(_parse_curve(curve))
+    table = trace_table(red, bound)
     _emit(
         {
             "conductor": red.conductor,
@@ -112,23 +115,19 @@ def ap(curve, bound, fmt):
 @_guarded
 def image(curve, ell, bound, fmt):
     """Mod-ell image certificate scan."""
-    model = _parse_curve(curve)
-    red = global_reduce(model)
-    table = trace_table(model, bound)
+    red = global_reduce(_parse_curve(curve))
+    table = trace_table(red, bound)
     try:
         rep = galois.image_test(red, table, ell, bound)
     except galois.InsufficientSamples as exc:
         _emit({"ell": ell, "verdict": "insufficientSamples", "detail": str(exc)}, fmt)
         return
-    certs = {
-        k: (v if isinstance(v, bool) else v) for k, v in sorted(rep.certificates.items())
-    }
     _emit(
         {
             "ell": rep.ell,
             "verdict": rep.verdict,
             "bound": rep.bound,
-            "certificates": certs,
+            "certificates": rep.certificates,
             "obstruction": rep.obstruction,
             "samples": rep.samples,
         },
@@ -146,9 +145,8 @@ def pair(curve1, curve2, bound, fmt):
     """Least trace-distinguishing prime and the comparison bound for a pair."""
     m1, m2 = _parse_curve(curve1), _parse_curve(curve2)
     r1, r2 = global_reduce(m1), global_reduce(m2)
-    t1, t2 = trace_table(m1, bound), trace_table(m2, bound)
-    c1 = 7 if r1.semistable else 37
-    c2 = 7 if r2.semistable else 37
+    t1, t2 = trace_table(r1, bound), trace_table(r2, bound)
+    c1, c2 = galois.curve_constant(r1), galois.curve_constant(r2)
     try:
         res = galois.comparison_bound(r1, t1, r2, t2, c1, c2, bound)
         _emit(
@@ -171,9 +169,8 @@ def pair(curve1, curve2, bound, fmt):
 @_guarded
 def epsilon(curve, ell, bound, fmt):
     """Quadratic character candidates for a non-surjective ell, after pruning."""
-    model = _parse_curve(curve)
-    red = global_reduce(model)
-    table = trace_table(model, bound)
+    red = global_reduce(_parse_curve(curve))
+    table = trace_table(red, bound)
     cands = galois.epsilon_candidates(red, ell)
     pruned = galois.prune_epsilon(cands, table, ell)
     _emit(
@@ -267,8 +264,8 @@ def symsum(file, labels, scale, input_format, fmt):
         raise ParseReject(f"labels not in corpus: {missing}")
     r1, r2 = by_label[want[0]], by_label[want[1]]
     bound = int(2 * scale) + 1
-    t1 = trace_table(r1.reduction.minimal_model, bound)
-    t2 = trace_table(r2.reduction.minimal_model, bound)
+    t1 = trace_table(r1.reduction, bound)
+    t2 = trace_table(r2.reduction, bound)
     psi = symprime.bump_psi()
     coprime_to = r1.reduction.conductor * r2.reduction.conductor
     s_val = symprime.smooth_sum_S(t1, scale, psi, coprime_to)

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import kronecker, primes_up_to, valuation
+from .arith import kronecker, least_nonresidue, primes_up_to, valuation
 
 
 class SingularModel(Exception):
@@ -23,13 +21,6 @@ class BadReduction(Exception):
 
 # naive char-sum counting below this, baby-step/giant-step above
 NAIVE_CROSSOVER = 1 << 16
-
-
-def worker_count() -> int:
-    env = os.environ.get("SERRE_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -128,10 +119,7 @@ def _sqrt_mod(a, p):
         return 0
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
-    # find a non-residue
-    z = 2
-    while kronecker(z, p) != -1:
-        z += 1
+    z = least_nonresidue(p)
     q = p - 1
     s = 0
     while q % 2 == 0:
@@ -163,15 +151,10 @@ def _count_naive_short(A, B, p):
     """#E(F_p) for y^2 = x^3 + Ax + B, p >= 5, via quadratic-character sums."""
     A %= p
     B %= p
-    if p < 600:
-        s = 0
-        for x in range(p):
-            s += kronecker((x * x % p * x + A * x + B) % p, p)
-        return p + 1 + s
     x = np.arange(p, dtype=np.int64)
-    fx = ((x * x % p) * x + A * x + B) % p
-    counts = np.bincount((x * x) % p, minlength=p)  # counts[z] = #{y in F_p : y^2 = z}
-    return int(counts[fx].sum()) + 1
+    sq = x * x % p
+    counts = np.bincount(sq, minlength=p)  # counts[z] = #{y in F_p : y^2 = z}
+    return int(counts[((sq + A) * x + B) % p].sum()) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +281,7 @@ def _count_bsgs(A, B, p):
     s = math.isqrt(4 * p) + 1
     lo, hi = p + 1 - s, p + 1 + s
     # nonresidue for the quadratic twist y^2 = x^3 + A g^2 x + B g^3
-    g = 2
-    while kronecker(g, p) != -1:
-        g += 1
+    g = least_nonresidue(p)
     At, Bt = A * g * g % p, B * g**3 % p
     l_curve, l_twist = 1, 1
     state = (A * 2654435761 + B * 40503 + p) % (1 << 31) or 1
@@ -370,24 +351,25 @@ class TraceTable:
         return sorted(self.good)
 
 
-def trace_table(model: WeierstrassModel, X: int, threads: int | None = None) -> TraceTable:
-    """a_p for all primes p <= X; ramified primes carry the local coefficient."""
-    from . import localdata
+def trace_table(curve, X: int) -> TraceTable:
+    """a_p for all primes p <= X; ramified primes carry the local coefficient.
 
-    red = localdata.global_reduce(model)
-    mmodel = red.minimal_model
+    `curve` is a WeierstrassModel, which is reduced here, or the
+    GlobalReduction of one, which is used as it is; the table's model is then
+    the reduction's minimal model.
+    """
+    if isinstance(curve, WeierstrassModel):
+        from . import localdata
+
+        model, red = curve, localdata.global_reduce(curve)
+    else:
+        model, red = curve.minimal_model, curve
     ram = {}
     for p, loc in red.locals.items():
         if p <= X:
             ram[p] = {"multSplit": 1, "multNonsplit": -1, "additive": 0}[loc.red_type]
-    plist = [p for p in primes_up_to(X) if p not in ram]
-    nthreads = threads if threads is not None else worker_count()
-    if nthreads > 1 and len(plist) > 64:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            traces = list(pool.map(lambda p: count_points(mmodel, p), plist))
-    else:
-        traces = [count_points(mmodel, p) for p in plist]
-    return TraceTable(model, X, dict(zip(plist, traces)), ram)
+    good = {p: count_points(red.minimal_model, p) for p in primes_up_to(X) if p not in ram}
+    return TraceTable(model, X, good, ram)
 
 
 def quadratic_twist(model: WeierstrassModel, d: int) -> WeierstrassModel:

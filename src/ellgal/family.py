@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import kronecker, primes_up_to
+from .arith import kronecker, least_nonresidue, primes_up_to, smallest_prime_factors
 from .curve import SingularModel, WeierstrassModel, trace_table
-from .galois import pair_witness
+from .galois import ceil_four_sqrt, curve_constant, pair_witness
 from .localdata import GlobalReduction, _tate_steps, _tate_table, global_reduce
 
 
@@ -41,10 +41,10 @@ class Family:
 _TRACE_CACHE = {}
 
 
-def _cached_traces(model, X):
-    key = (model.ainvs(), X)
+def _cached_traces(red: GlobalReduction, X):
+    key = (red.minimal_model.ainvs(), X)
     if key not in _TRACE_CACHE:
-        _TRACE_CACHE[key] = trace_table(model, X)
+        _TRACE_CACHE[key] = trace_table(red, X)
     return _TRACE_CACHE[key]
 
 
@@ -104,7 +104,7 @@ def ingest(path, fmt: str) -> Corpus:
 
 
 def _is_cm(record: CurveRecord) -> bool:
-    table = _cached_traces(record.reduction.minimal_model, 500)
+    table = _cached_traces(record.reduction, 500)
     good = [p for p in table.good_primes() if p >= 5]
     if not good:
         return False
@@ -128,7 +128,7 @@ def _passes(record: CurveRecord, tag: str) -> bool:
 
 
 def _fingerprint(record: CurveRecord):
-    table = _cached_traces(record.reduction.minimal_model, 75)
+    table = _cached_traces(record.reduction, 75)
     return tuple(table.trace(p) for p in primes_up_to(75))
 
 
@@ -152,11 +152,7 @@ def pair_statistics(family: Family, X: int, sample_cap: int, seed: int) -> dict:
     if len(pairs) > sample_cap:
         pairs = sorted(rng.sample(pairs, sample_cap))
     needed = {recs[i].label for i, _ in pairs} | {recs[j].label for _, j in pairs}
-    tables = {
-        r.label: _cached_traces(r.reduction.minimal_model, X)
-        for r in recs
-        if r.label in needed
-    }
+    tables = {r.label: _cached_traces(r.reduction, X) for r in recs if r.label in needed}
     entries = []
     no_witness = []
     below_logsq = 0
@@ -165,16 +161,13 @@ def pair_statistics(family: Family, X: int, sample_cap: int, seed: int) -> dict:
         w = pair_witness(
             tables[r1.label], tables[r2.label], r1.reduction.conductor, r2.reduction.conductor, X
         )
-        c1 = 7 if r1.reduction.semistable else 37
-        c2 = 7 if r2.reduction.semistable else 37
         if w is None:
             no_witness.append([r1.label, r2.label])
             entries.append({"pair": [r1.label, r2.label], "witness": None, "bound": None})
         else:
-            root = math.isqrt(16 * w.p)
-            if root * root < 16 * w.p:
-                root += 1
-            bound = max(c1, c2, root)
+            bound = max(
+                curve_constant(r1.reduction), curve_constant(r2.reduction), ceil_four_sqrt(w.p)
+            )
             entries.append({"pair": [r1.label, r2.label], "witness": w.p, "bound": bound})
             logsq = math.log(max(r1.reduction.conductor, r2.reduction.conductor)) ** 2
             if w.p <= logsq:
@@ -222,7 +215,7 @@ def validate_cm_bases():
         model = WeierstrassModel(*ainvs)
         if model.j_invariant() != j:
             raise RuntimeError(f"stored model for D={D} has wrong j-invariant")
-        table = _cached_traces(global_reduce(model).minimal_model, 500)
+        table = _cached_traces(global_reduce(model), 500)
         for p in table.good_primes():
             if p < 5:
                 continue
@@ -235,12 +228,7 @@ def _squarefree_coprime6(bound):
     """Squarefree m <= bound with gcd(m, 6) = 1, each with its prime list."""
     if bound < 1:
         return []
-    spf = list(range(bound + 1))
-    for p in range(2, math.isqrt(bound) + 1):
-        if spf[p] == p:
-            for m in range(p * p, bound + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
+    spf = smallest_prime_factors(bound)
     out = []
     for m in range(1, bound + 1):
         if m % 2 == 0 or m % 3 == 0:
@@ -309,7 +297,7 @@ def _census_quadratic(D, ceiling, conductors):
         unit = (d // q if vq else d) % q
         key = (q, vq, kronecker(unit, q))
         if key not in qf:
-            rep = q**vq * (1 if kronecker(unit, q) == 1 else _nonresidue(q))
+            rep = q**vq * (1 if kronecker(unit, q) == 1 else least_nonresidue(q))
             qf[key] = _tate_table(build(rep), q).f
         return qf[key]
 
@@ -334,13 +322,6 @@ def _census_quadratic(D, ceiling, conductors):
                     N *= 3 ** memo.f3(sign, b, (2**a * m) % 27)
                     if N <= ceiling:
                         conductors.append((N, j))
-
-
-def _nonresidue(q):
-    g = 2
-    while kronecker(g, q) != -1:
-        g += 1
-    return g
 
 
 def _census_power_family(power, ceiling, conductors):

@@ -209,6 +209,17 @@ def joint_surjectivity_test(red1, t1, red2, t2, ell, X=None) -> JointResult:
     return JointResult("undetermined", "no witness in range", None)
 
 
+def curve_constant(red: GlobalReduction) -> int:
+    """c(E) of the comparison bound: 7 for a semistable curve, 37 otherwise."""
+    return 7 if red.semistable else 37
+
+
+def ceil_four_sqrt(p: int) -> int:
+    """ceil(4 sqrt(p)), exactly."""
+    root = math.isqrt(16 * p)
+    return root if root * root == 16 * p else root + 1
+
+
 def comparison_bound(red1, t1, red2, t2, cE1, cE2, X=None, window=50) -> ComparisonResult:
     """max{c(E1), c(E2), ceil(4 sqrt(p(E1,E2)))} with a joint-surjectivity spot-check."""
     if X is None:
@@ -216,10 +227,7 @@ def comparison_bound(red1, t1, red2, t2, cE1, cE2, X=None, window=50) -> Compari
     w = pair_witness(t1, t2, red1.conductor, red2.conductor, X)
     if w is None:
         raise NoWitnessBelow(X)
-    root = math.isqrt(16 * w.p)
-    if root * root < 16 * w.p:
-        root += 1
-    bound = max(cE1, cE2, root)
+    bound = max(cE1, cE2, ceil_four_sqrt(w.p))
     checks = []
     for ell in range(bound + 1, bound + window + 1):
         if not is_prime(ell) or ell == 3:

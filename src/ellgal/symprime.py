@@ -8,8 +8,9 @@ from fractions import Fraction
 
 from scipy.integrate import quad
 
-from .arith import kronecker
+from .arith import kronecker, smallest_prime_factors
 from .curve import TraceTable
+from .galois import pair_witness
 
 
 class RamanujanViolation(Exception):
@@ -175,16 +176,6 @@ def _sym2_prime_powers(ap, p, kmax):
     return h
 
 
-def _spf_sieve(bound):
-    spf = list(range(bound + 1))
-    for p in range(2, math.isqrt(bound) + 1):
-        if spf[p] == p:
-            for m in range(p * p, bound + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
-
-
 class _Sym2Coefficients:
     """Multiplicative lambda_{Sym^2}(n) built from a trace table."""
 
@@ -216,7 +207,7 @@ class _Sym2Coefficients:
 def smooth_sum_S(table: TraceTable, X, psi: SmoothTestFunction, coprime_to: int) -> float:
     """sum over n in [X, 2X] coprime to coprime_to of lambda_Sym2(n)^2 psi(n/X)."""
     top = int(math.floor(2 * X))
-    spf = _spf_sieve(top)
+    spf = smallest_prime_factors(top)
     coeffs = _Sym2Coefficients(table, top)
     terms = []
     for n in range(max(1, int(math.ceil(X))), top + 1):
@@ -233,7 +224,7 @@ def smooth_sum_S(table: TraceTable, X, psi: SmoothTestFunction, coprime_to: int)
 def smooth_sum_H(table1: TraceTable, table2: TraceTable, X, psi, coprime_to: int) -> float:
     """Same shape as smooth_sum_S but with the cross product lambda_1(n) lambda_2(n)."""
     top = int(math.floor(2 * X))
-    spf = _spf_sieve(top)
+    spf = smallest_prime_factors(top)
     c1 = _Sym2Coefficients(table1, top)
     c2 = _Sym2Coefficients(table2, top)
     terms = []
@@ -253,12 +244,8 @@ def linnik_scan(table1: TraceTable, table2: TraceTable = None, chi: int = None, 
     if bound is None:
         bound = table1.bound
     if table2 is not None:
-        for p in table1.good_primes():
-            if p > bound or p not in table2.good:
-                continue
-            if abs(table1.good[p]) != abs(table2.good[p]):
-                return p
-        return None
+        w = pair_witness(table1, table2, 1, 1, bound)
+        return None if w is None else w.p
     if chi is None:
         raise ValueError("need a second curve or a character modulus")
     for p in table1.good_primes():

@@ -56,13 +56,17 @@ def corpus_csv(tmp_path_factory, corpus):
     return path
 
 
-@pytest.fixture(scope="session")
-def small_corpus_csv(tmp_path_factory, corpus):
-    """First 40 corpus curves; enough for CLI-level checks without the full cost."""
-    path = tmp_path_factory.mktemp("corpus_small") / "small.csv"
+def write_small_corpus_csv(path, corpus):
+    """The first 40 corpus curves as an a-invariant CSV."""
     lines = ["a1,a2,a3,a4,a6,label"]
     for rec in corpus.records[:40]:
         a1, a2, a3, a4, a6 = rec.model.ainvs()
         lines.append(f"{a1},{a2},{a3},{a4},{a6},{rec.label}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="session")
+def small_corpus_csv(tmp_path_factory, corpus):
+    """First 40 corpus curves; enough for CLI-level checks without the full cost."""
+    return write_small_corpus_csv(tmp_path_factory.mktemp("corpus_small") / "small.csv", corpus)

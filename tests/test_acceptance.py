@@ -50,7 +50,7 @@ TRACE_BOUND = 1000
 
 
 def _table(red, X=TRACE_BOUND):
-    return _cached_traces(red.minimal_model, X)
+    return _cached_traces(red, X)
 
 
 def test_criterion_01_trace_oracle_equivalence(corpus):
@@ -301,8 +301,8 @@ def test_criterion_11_smooth_sums(corpus):
     for d in (5, -7):
         tw = global_reduce(quadratic_twist(base.minimal_model, d))
         cop = base.conductor * tw.conductor * abs(d)
-        t1 = _cached_traces(base.minimal_model, 2001)
-        t2 = _cached_traces(tw.minimal_model, 2001)
+        t1 = _cached_traces(base, 2001)
+        t2 = _cached_traces(tw, 2001)
         s = smooth_sum_S(t1, 1000.0, psi, cop)
         h = smooth_sum_H(t1, t2, 1000.0, psi, cop)
         assert s == h, d
@@ -317,8 +317,8 @@ def test_criterion_11_smooth_sums(corpus):
         for j in range(i + 1, len(reps)):
             a, b = reps[i], reps[j]
             cop = a.reduction.conductor * b.reduction.conductor
-            ta = _cached_traces(a.reduction.minimal_model, 20001)
-            tb = _cached_traces(b.reduction.minimal_model, 20001)
+            ta = _cached_traces(a.reduction, 20001)
+            tb = _cached_traces(b.reduction, 20001)
             row = [a.label, b.label]
             for X in (1000.0, 10000.0):
                 s = smooth_sum_S(ta, X, psi, cop)

@@ -174,3 +174,53 @@ def test_all_subcommands_byte_deterministic(runner, small_corpus_csv):
             a = _run(runner, args + ["--format", fmt]).output
             b = _run(runner, args + ["--format", fmt]).output
             assert a == b, args
+
+
+def _assert_internal_failure(res, message):
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # no traceback escaped
+    assert res.stderr.startswith("internal error:") and res.stderr.count("\n") == 1
+    assert message in res.stderr
+
+
+def test_incomplete_factorization_exit_code_2(runner, monkeypatch):
+    import ellgal.arith as arith
+
+    monkeypatch.setattr(arith, "_pollard_rho", lambda n: None)
+    # y^2 = x^3 + pq: the discriminant carries (pq)^2 with p, q > 10^6
+    res = runner.invoke(cli.main, ["image", f"0,0,0,0,{1000003 * 1000033}", "-l", "5", "-X", "100"])
+    _assert_internal_failure(res, "IncompleteFactorization")
+
+
+def test_tate_nontermination_exit_code_2(runner):
+    # 37a scaled by u = 2^-40 needs 41 rescalings at 2, one more than Tate's loop allows
+    res = runner.invoke(cli.main, ["tate", f"0,0,{2**120},{-(2**160)},0", "-p", "2"])
+    _assert_internal_failure(res, "did not terminate at p=2")
+
+
+def test_bsgs_order_not_pinned_exit_code_2(runner, monkeypatch):
+    import ellgal.curve as curve
+
+    monkeypatch.setattr(curve, "NAIVE_CROSSOVER", 700)
+    monkeypatch.setattr(curve, "_point_order", lambda P, A, p, lo, hi: 1)
+    res = runner.invoke(cli.main, ["ap", "0,0,1,-1,0", "-X", "710"])
+    _assert_internal_failure(res, "group order not pinned down at p=701")
+
+
+def test_family_reduces_each_record_once(runner, small_corpus_csv, monkeypatch):
+    import ellgal.family as family
+    import ellgal.localdata as localdata
+
+    calls = []
+    original = localdata.global_reduce
+
+    def counting(model):
+        calls.append(model.ainvs())
+        return original(model)
+
+    monkeypatch.setattr(family, "_TRACE_CACHE", {})
+    for module in (localdata, family, cli):
+        monkeypatch.setattr(module, "global_reduce", counting)
+    res = _run(runner, ["family", str(small_corpus_csv), "-N", "10000"])
+    assert res.exit_code == 0
+    assert len(calls) == len(json.loads(res.output)["records"]) == 40

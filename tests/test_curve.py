@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -15,8 +14,8 @@ from ellgal.curve import (
     quartic_twist_model,
     sextic_twist_model,
     trace_table,
-    worker_count,
 )
+from ellgal.localdata import global_reduce
 
 E37 = WeierstrassModel(0, 0, 1, -1, 0)
 E11 = WeierstrassModel(0, -1, 1, -10, -20)
@@ -141,12 +140,36 @@ def test_trace_table_contents():
     assert t11.ramified == {11: 1}  # split multiplicative
 
 
-def test_trace_table_threaded_matches_serial(monkeypatch):
-    serial = trace_table(E37, 1000)
-    monkeypatch.setenv("SERRE_LAB_THREADS", "4")
-    assert worker_count() == 4
-    threaded = trace_table(E37, 1000)
-    assert threaded.good == serial.good and threaded.ramified == serial.ramified
+def _legendre_sum_trace(model, p):
+    """a_p = -sum_x ((4x^3 + b2 x^2 + 2 b4 x + b6) | p), Legendre symbols by Euler's
+    criterion: the y-count of the completed square, independent of the short model."""
+    b2, b4, b6, _ = model.b_invariants()
+    total = 0
+    for x in range(p):
+        v = pow((((4 * x + b2) * x + 2 * b4) * x + b6) % p, (p - 1) // 2, p)
+        total += -1 if v == p - 1 else v
+    return -total
+
+
+def test_naive_count_matches_legendre_oracle(corpus):
+    for rec in corpus.records[::400]:
+        model = rec.reduction.minimal_model
+        disc = model.discriminant()
+        for p in primes_up_to(599):
+            if p < 5 or disc % p == 0:
+                continue
+            assert count_points(model, p, strategy="naive") == _legendre_sum_trace(
+                model, p
+            ), (rec.label, p)
+
+
+def test_trace_table_from_reduction_matches_model():
+    # 37a with its coordinates scaled by u = 1/2: a model that is not minimal at 2
+    for m in (E37, E11, WeierstrassModel(0, 0, 8, -16, 0)):
+        red = global_reduce(m)
+        from_model, from_red = trace_table(m, 300), trace_table(red, 300)
+        assert from_red.good == from_model.good and from_red.ramified == from_model.ramified
+        assert from_model.model == m and from_red.model == red.minimal_model
 
 
 @given(st.integers(min_value=-8, max_value=8), st.integers(min_value=-8, max_value=8))

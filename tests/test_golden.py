@@ -50,14 +50,10 @@ if __name__ == "__main__":
     import tempfile
 
     sys.path.insert(0, str(Path(__file__).parent))
-    from conftest import _generate_corpus
+    from conftest import _generate_corpus, write_small_corpus_csv
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "small.csv"
-        lines = ["a1,a2,a3,a4,a6,label"]
-        for rec in _generate_corpus().records[:40]:
-            lines.append(",".join(map(str, rec.model.ainvs())) + f",{rec.label}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = write_small_corpus_csv(Path(tmp) / "small.csv", _generate_corpus())
         GOLDEN.mkdir(exist_ok=True)
         codes = {}
         for args, fmt in CASES:
