@@ -9,7 +9,7 @@ import click
 
 from . import family as familymod
 from . import galois, symprime
-from .arith import IncompleteFactorization
+from .arith import IncompleteFactorization, is_prime
 from .curve import SingularModel, WeierstrassModel, trace_table
 from .localdata import InvariantViolation, global_reduce, phi_order, tate
 from .localdata import NotAdditivePotGood
@@ -31,6 +31,12 @@ def _parse_curve(text):
         return WeierstrassModel(*coeffs)
     except SingularModel:
         raise ParseReject(f"singular model {text!r}")
+
+
+def _parse_prime(n, flag):
+    if not is_prime(n):
+        raise ParseReject(f"{flag} must be a prime, got {n}")
+    return n
 
 
 def _emit(data, fmt):
@@ -73,7 +79,7 @@ def main():
 def tate_cmd(curve, prime, fmt):
     """Local reduction data at a prime."""
     model = _parse_curve(curve)
-    loc = tate(model, prime)
+    loc = tate(model, _parse_prime(prime, "-p"))
     data = {
         "p": loc.p,
         "kodaira": loc.kodaira,
@@ -115,6 +121,8 @@ def ap(curve, bound, fmt):
 @_guarded
 def image(curve, ell, bound, fmt):
     """Mod-ell image certificate scan."""
+    if _parse_prime(ell, "-l") == 3:
+        raise ParseReject("the image scan does not support ell = 3")
     red = global_reduce(_parse_curve(curve))
     table = trace_table(red, bound)
     try:
@@ -169,6 +177,8 @@ def pair(curve1, curve2, bound, fmt):
 @_guarded
 def epsilon(curve, ell, bound, fmt):
     """Quadratic character candidates for a non-surjective ell, after pruning."""
+    if _parse_prime(ell, "-l") <= 3:
+        raise ParseReject(f"the epsilon machinery needs ell > 3, got {ell}")
     red = global_reduce(_parse_curve(curve))
     table = trace_table(red, bound)
     cands = galois.epsilon_candidates(red, ell)
@@ -188,7 +198,10 @@ def epsilon(curve, ell, bound, fmt):
 def _ingest_checked(path, input_format):
     if input_format is None:
         input_format = "jsonLines" if str(path).endswith((".jsonl", ".json")) else "csvAinvariants"
-    return familymod.ingest(path, input_format)
+    try:
+        return familymod.ingest(path, input_format)
+    except familymod.CorpusFormatError as exc:
+        raise ParseReject(f"{path}: {exc}")
 
 
 @main.command("family")
@@ -242,6 +255,8 @@ def pairs(file, bound, cap, seed, input_format, fmt):
 @_guarded
 def cm_census_cmd(ceiling, fmt):
     """Census of CM curves by conductor ceiling."""
+    if ceiling < 1:
+        raise ParseReject(f"-N must be a positive conductor ceiling, got {ceiling}")
     _emit(familymod.cm_census(ceiling), fmt)
 
 

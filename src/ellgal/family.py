@@ -17,6 +17,10 @@ from .galois import ceil_four_sqrt, curve_constant, pair_witness
 from .localdata import GlobalReduction, _tate_steps, _tate_table, global_reduce
 
 
+class CorpusFormatError(ValueError):
+    """The corpus file as a whole is unreadable (as opposed to a rejected row)."""
+
+
 @dataclass(frozen=True)
 class CurveRecord:
     label: str
@@ -80,7 +84,7 @@ def ingest(path, fmt: str) -> Corpus:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header[:5]] != ["a1", "a2", "a3", "a4", "a6"]:
-                raise ValueError("expected header a1,a2,a3,a4,a6[,label]")
+                raise CorpusFormatError("expected header a1,a2,a3,a4,a6[,label]")
             for rownum, row in enumerate(reader, start=2):
                 if not row or all(not c.strip() for c in row):
                     continue

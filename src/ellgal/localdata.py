@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import factorize, kronecker, valuation
-from .curve import WeierstrassModel
+from .curve import WeierstrassModel, _minimal_scaling
 
 
 class NotAdditivePotGood(Exception):
@@ -70,10 +70,8 @@ def _tate_table(model, p):
     """Reduction data at p >= 5 from the (v(c4), v(Delta)) valuation table."""
     c4, c6 = model.c_invariants()
     disc = model.discriminant()
-    vd = _vv(disc, p)
-    vc4 = _vv(c4, p)
-    vc6 = _vv(c6, p)
-    d = min(vc4 // 4, vc6 // 6, vd // 12)
+    vd = valuation(disc, p)
+    d = _minimal_scaling(c4, c6, vd, p)
     c4m = c4 // p ** (4 * d)
     c6m = c6 // p ** (6 * d)
     vd -= 12 * d
@@ -160,9 +158,12 @@ def _step6_normalize(E, p):
 
 
 def _tate_steps(model, p):
-    """Full step-by-step Tate algorithm; valid at any p, used in production for p = 2, 3."""
+    """Full step-by-step Tate algorithm; valid at any p, used in production for p = 2, 3.
+
+    Each rescaling by u = p lowers v_p(Delta) by 12, so the loop ends at a p-minimal model.
+    """
     base = model
-    for _ in range(40):
+    while True:
         disc = base.discriminant()
         if disc % p != 0:
             return LocalReduction(p, "I0", 0, 0, "good", True, base)
@@ -240,7 +241,6 @@ def _tate_steps(model, p):
             return LocalReduction(p, "II*", vd - 8, vd, "additive", pot_good, base)
         # non-minimal: rescale by u = p and start over
         base = E.transform(u=p)
-    raise RuntimeError(f"Tate algorithm did not terminate at p={p}")
 
 
 def tate(model: WeierstrassModel, p: int) -> LocalReduction:
@@ -290,23 +290,23 @@ def global_reduce(model: WeierstrassModel) -> GlobalReduction:
     """Globally minimal model, conductor, and the per-prime reduction map."""
     c4, c6 = model.c_invariants()
     disc = model.discriminant()
+    disc_primes = [p for p, _ in factorize(abs(disc)).factors]
     u = 1
-    for p, _ in factorize(abs(disc)).factors:
-        if p < 5:
-            continue
-        d = min(_vv(c4, p) // 4, _vv(c6, p) // 6, valuation(disc, p) // 12)
-        u *= p**d
+    for p in disc_primes:
+        if p >= 5:
+            u *= p ** _minimal_scaling(c4, c6, valuation(disc, p), p)
     E = WeierstrassModel(0, 0, 0, -27 * (c4 // u**4), -54 * (c6 // u**6))
     E = _tate_steps(E, 2).minimal_model
     E = _tate_steps(E, 3).minimal_model
     E = _reduce_model(E)
 
     locs = {}
-    dmin = abs(E.discriminant())
-    for p, _ in factorize(dmin).factors:
-        loc = tate(E, p)
-        if loc.f > 0:
-            locs[p] = loc
+    dmin = E.discriminant()
+    for p in disc_primes:  # Delta_min divides Delta, so these are all its primes
+        if dmin % p == 0:
+            loc = tate(E, p)
+            if loc.f > 0:
+                locs[p] = loc
     conductor = 1
     n_add, n_mult = 1, 1
     cond12 = True

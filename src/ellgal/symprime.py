@@ -63,38 +63,21 @@ def rankin_coeff(ev1: NormalizedEigenvalue, ev2: NormalizedEigenvalue) -> Fracti
     return (ev1.t_squared - 1) * (ev2.t_squared - 1)
 
 
-@dataclass(frozen=True)
-class QuadExt:
-    """Exact element a + b sqrt(d) of Q(sqrt(d))."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def __add__(self, o):
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
-
-    def __sub__(self, o):
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
-
-    def __mul__(self, o):
-        if isinstance(o, QuadExt):
-            return QuadExt(
-                self.a * o.a + self.b * o.b * self.d, self.a * o.b + self.b * o.a, self.d
-            )
-        return QuadExt(self.a * o, self.b * o, self.d)
-
-    def to_float(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-
-def _power_sums(ap, p, kmax):
-    """P_k = alpha^k + beta^k for the Satake pair with alpha+beta = t, alpha beta = 1."""
-    t = QuadExt(Fraction(0), Fraction(ap, p), p)
-    out = [QuadExt(Fraction(2), Fraction(0), p), t]
+def _satake_numerators(ap, p, kmax):
+    """Q_k = p^(k/2) (alpha^k + beta^k) for the Satake pair with alpha + beta = a_p / sqrt(p),
+    alpha beta = 1: integers, from Q_0 = 2, Q_1 = a_p, Q_k = a_p Q_(k-1) - p Q_(k-2)."""
+    Q = [2, ap]
     for _ in range(2, kmax + 1):
-        out.append(t * out[-1] - out[-2])
-    return out
+        Q.append(ap * Q[-1] - p * Q[-2])
+    return Q
+
+
+def _max_exponent(p, X):
+    """Largest k with p^k <= X, for a prime p <= X."""
+    k = 1
+    while p ** (k + 1) <= X:
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -113,15 +96,13 @@ def von_mangoldt(t1: TraceTable, t2: TraceTable, X: int) -> VonMangoldtSeries:
     for p in t1.good_primes():
         if p > X or p not in t2.good:
             continue
-        kmax = 1
-        while p ** (kmax + 1) <= X:
-            kmax += 1
-        P1 = _power_sums(t1.good[p], p, kmax)
-        P2 = _power_sums(t2.good[p], p, kmax)
+        kmax = _max_exponent(p, X)
+        Q1 = _satake_numerators(t1.good[p], p, kmax)
+        Q2 = _satake_numerators(t2.good[p], p, kmax)
         logp = math.log(p)
         for k in range(1, kmax + 1):
-            if p**k <= X:
-                entries[(p, k)] = logp * (P1[k] * P2[k]).to_float()
+            # P_k(t1) P_k(t2) is the rational Q1_k Q2_k / p^k, rounded once
+            entries[(p, k)] = logp * (Q1[k] * Q2[k] / p**k)
     return VonMangoldtSeries(X, entries, tuple(ram))
 
 
@@ -161,81 +142,64 @@ def bump_psi() -> SmoothTestFunction:
     return SmoothTestFunction(1.0, 2.0)
 
 
-def _sym2_prime_powers(ap, p, kmax):
-    """Dirichlet coefficients of the local Sym^2 Euler factor, exact rationals."""
-    t2 = Fraction(ap * ap, p)
-    e1 = e2 = t2 - 1
-    h = [Fraction(1)]
-    for k in range(1, kmax + 1):
-        val = e1 * h[k - 1]
-        if k >= 2:
-            val -= e2 * h[k - 2]
-        if k >= 3:
-            val += h[k - 3]
-        h.append(val)
-    return h
+def _sym2_numerators(ap, p, kmax):
+    """H_k = p^k lambda_Sym2(p^k) for k <= kmax, the coefficients of the local Euler
+    factor 1 / ((1 - alpha^2 x)(1 - x)(1 - beta^2 x)) scaled to integers: with
+    e = a_p^2 - p, H_k = e H_(k-1) - p e H_(k-2) + p^3 H_(k-3) and H_0 = 1."""
+    e = ap * ap - p
+    H = [0, 0, 1]
+    for _ in range(kmax):
+        H.append(e * H[-1] - p * e * H[-2] + p**3 * H[-3])
+    return H[2:]
 
 
-class _Sym2Coefficients:
-    """Multiplicative lambda_{Sym^2}(n) built from a trace table."""
+def _smooth_sum(table1: TraceTable, table2: TraceTable, X, psi, coprime_to: int) -> float:
+    """fsum over n in [X, 2X] coprime to coprime_to of lambda_1(n) lambda_2(n) psi(n/X).
 
-    def __init__(self, table: TraceTable, bound: int):
-        self.table = table
-        self.bound = bound
-        self.cache = {}
+    lambda_i(n) is N_i / n with N_i the product of the local H_k, so each factor
+    is one correctly rounded int division, equal to float() of the exact rational.
+    """
+    top = int(math.floor(2 * X))
+    spf = smallest_prime_factors(top)
+    local = {}  # (p, a_p) -> [H_0, ..., H_kmax]
 
-    def prime_power(self, p, k):
-        key = (p, k)
-        if key not in self.cache:
-            if p not in self.table.good:
-                raise CoefficientGap(f"no trace available at p={p}")
-            self.cache[key] = _sym2_prime_powers(self.table.good[p], p, k)[k]
-        return self.cache[key]
+    def numerator(table, p, k):
+        if p not in table.good:
+            raise CoefficientGap(f"no trace available at p={p}")
+        key = (p, table.good[p])
+        if key not in local:
+            local[key] = _sym2_numerators(key[1], p, _max_exponent(p, top))
+        return local[key][k]
 
-    def value(self, n, spf):
-        out = Fraction(1)
-        while n > 1:
-            p = spf[n]
+    terms = []
+    for n in range(max(1, int(math.ceil(X))), top + 1):
+        if math.gcd(n, coprime_to) != 1:
+            continue
+        w = psi(n / X)
+        if w == 0.0:
+            continue
+        N1 = N2 = 1
+        m = n
+        while m > 1:
+            p = spf[m]
             k = 0
-            while n % p == 0:
-                n //= p
+            while m % p == 0:
+                m //= p
                 k += 1
-            out *= self.prime_power(p, k)
-        return out
+            N1 *= numerator(table1, p, k)
+            N2 *= numerator(table2, p, k)
+        terms.append((N1 / n) * (N2 / n) * w)
+    return math.fsum(terms)
 
 
 def smooth_sum_S(table: TraceTable, X, psi: SmoothTestFunction, coprime_to: int) -> float:
     """sum over n in [X, 2X] coprime to coprime_to of lambda_Sym2(n)^2 psi(n/X)."""
-    top = int(math.floor(2 * X))
-    spf = smallest_prime_factors(top)
-    coeffs = _Sym2Coefficients(table, top)
-    terms = []
-    for n in range(max(1, int(math.ceil(X))), top + 1):
-        if math.gcd(n, coprime_to) != 1:
-            continue
-        w = psi(n / X)
-        if w == 0.0:
-            continue
-        lam = float(coeffs.value(n, spf))
-        terms.append(lam * lam * w)
-    return math.fsum(terms)
+    return _smooth_sum(table, table, X, psi, coprime_to)
 
 
 def smooth_sum_H(table1: TraceTable, table2: TraceTable, X, psi, coprime_to: int) -> float:
     """Same shape as smooth_sum_S but with the cross product lambda_1(n) lambda_2(n)."""
-    top = int(math.floor(2 * X))
-    spf = smallest_prime_factors(top)
-    c1 = _Sym2Coefficients(table1, top)
-    c2 = _Sym2Coefficients(table2, top)
-    terms = []
-    for n in range(max(1, int(math.ceil(X))), top + 1):
-        if math.gcd(n, coprime_to) != 1:
-            continue
-        w = psi(n / X)
-        if w == 0.0:
-            continue
-        terms.append(float(c1.value(n, spf)) * float(c2.value(n, spf)) * w)
-    return math.fsum(terms)
+    return _smooth_sum(table1, table2, X, psi, coprime_to)
 
 
 def linnik_scan(table1: TraceTable, table2: TraceTable = None, chi: int = None, bound: int = None):

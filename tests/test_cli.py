@@ -36,15 +36,29 @@ def test_tate_csv_format(runner):
     assert parsed["kodaira"] == "I1"
 
 
-def test_parse_reject_exit_code_1(runner):
-    res = _run(runner, ["tate", "0,0,1,-1", "-p", "37"])
-    assert res.exit_code == 1
-    res2 = _run(runner, ["tate", "0,0,0,0,0", "-p", "2"])  # singular
-    assert res2.exit_code == 1
-    res3 = _run(runner, ["cdelta", "abc"])
-    assert res3.exit_code == 1
-    res4 = _run(runner, ["cdelta", "1/3"])  # pole side: delta <= 1/2 rejected
-    assert res4.exit_code == 1
+def test_parse_reject_exit_code_1(runner, tmp_path):
+    headerless = tmp_path / "nohdr.csv"
+    headerless.write_text("0,0,1,-1,0,w\n", encoding="utf-8")
+    rejected = [
+        ["tate", "0,0,1,-1", "-p", "37"],
+        ["tate", "0,0,0,0,0", "-p", "2"],  # singular
+        ["cdelta", "abc"],
+        ["cdelta", "1/3"],  # pole side: delta <= 1/2 rejected
+        ["image", "0,0,1,-1,0", "-l", "3", "-X", "100"],
+        ["image", "0,0,1,-1,0", "-l", "9", "-X", "100"],
+        ["epsilon", "0,0,1,-1,0", "-l", "3", "-X", "100"],
+        ["epsilon", "0,0,1,-1,0", "-l", "9", "-X", "100"],
+        ["family", str(headerless), "-N", "100"],
+        ["pairs", str(headerless), "-X", "100"],
+        ["symsum", str(headerless), "--pair", "w,w", "-X", "100"],
+    ]
+    rejected += [["tate", "0,0,1,-1,0", "-p", p] for p in ("1", "0", "4", "35", "-5")]
+    rejected += [["cm-census", "-N", n] for n in ("0", "-3")]
+    for args in rejected:
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 1, args
+        assert isinstance(res.exception, SystemExit), args  # no traceback escaped
+        assert res.stderr.startswith("parse error:") and res.stderr.count("\n") == 1, args
 
 
 def test_invariant_violation_exit_code_2(runner, monkeypatch):
@@ -192,10 +206,17 @@ def test_incomplete_factorization_exit_code_2(runner, monkeypatch):
     _assert_internal_failure(res, "IncompleteFactorization")
 
 
-def test_tate_nontermination_exit_code_2(runner):
-    # 37a scaled by u = 2^-40 needs 41 rescalings at 2, one more than Tate's loop allows
-    res = runner.invoke(cli.main, ["tate", f"0,0,{2**120},{-(2**160)},0", "-p", "2"])
-    _assert_internal_failure(res, "did not terminate at p=2")
+def test_tate_rescales_until_minimal(runner):
+    # 37a scaled by u = 2^-40: Tate's algorithm needs 41 rescalings at 2
+    scaled = f"0,0,{2**120},{-(2**160)},0"
+    res = _run(runner, ["tate", scaled, "-p", "2"])
+    assert res.exit_code == 0
+    assert res.output == _run(runner, ["tate", "0,0,1,-1,0", "-p", "2"]).output
+    assert json.loads(res.output)["kodaira"] == "I0"
+    res = _run(runner, ["ap", scaled, "-X", "20"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["conductor"] == 37
+    assert res.output == _run(runner, ["ap", "0,0,1,-1,0", "-X", "20"]).output
 
 
 def test_bsgs_order_not_pinned_exit_code_2(runner, monkeypatch):

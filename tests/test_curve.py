@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ellgal.arith import kronecker, primes_up_to
 from ellgal.curve import (
+    NAIVE_CROSSOVER,
     BadReduction,
     SingularModel,
     WeierstrassModel,
@@ -88,6 +89,21 @@ def test_naive_vs_bsgs_agree(corpus):
             assert count_points(model, p, strategy="naive") == count_points(
                 model, p, strategy="bsgs"
             ), (rec.label, p)
+
+
+def test_routes_agree_around_naive_crossover(corpus):
+    # auto switches from the naive count to BSGS inside this window
+    primes = [p for p in primes_up_to(2**14 + 500) if p >= 2**14 - 500]
+    assert primes[0] < NAIVE_CROSSOVER < primes[-1]
+    records = corpus.records
+    for rec in (records[0], records[len(records) // 2], records[-1]):
+        model = rec.reduction.minimal_model
+        for p in primes:
+            if rec.reduction.conductor % p == 0:
+                continue
+            auto = count_points(model, p)
+            assert auto == count_points(model, p, strategy="naive"), (rec.label, p)
+            assert auto == count_points(model, p, strategy="bsgs"), (rec.label, p)
 
 
 def test_bsgs_large_prime_hasse():

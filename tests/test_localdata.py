@@ -55,6 +55,22 @@ def test_global_reduce_minimizes_and_reduces():
     assert red.minimal_model.discriminant() == m.discriminant()
 
 
+def test_global_reduce_factors_discriminant_once(monkeypatch):
+    import ellgal.localdata as localdata
+
+    calls = []
+    original = localdata.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(localdata, "factorize", counting)
+    red = global_reduce(WeierstrassModel(0, 1, 1, -2, 0))  # 389a, already minimal
+    assert red.conductor == 389
+    assert len(calls) == 1
+
+
 def test_global_reduce_idempotent(corpus):
     for rec in corpus.records[::97]:
         again = global_reduce(rec.reduction.minimal_model)

@@ -14,7 +14,7 @@ from ellgal.symprime import (
     NormalizedEigenvalue,
     RamanujanViolation,
     SmoothTestFunction,
-    _sym2_prime_powers,
+    _sym2_numerators,
     bump_phi,
     bump_psi,
     c_delta,
@@ -126,23 +126,52 @@ def test_bump_functions():
 
 
 def test_sym2_prime_power_recursion_vs_power_series():
-    # coefficients of 1 / ((1 - a^2 x)(1 - x)(1 - b^2 x)) with ab = 1, a + b = t:
-    # check against direct expansion in exact arithmetic via series multiplication
-    ap, p, kmax = -3, 11, 8
-    h = _sym2_prime_powers(ap, p, kmax)
-    t2 = Fraction(ap * ap, p)
-    # e1 = a^2 + 1 + b^2 = t^2 - 1, e2 = a^2 + b^2 + a^2 b^2 = t^2 - 1, e3 = 1
-    series = [Fraction(1)]
-    e1 = e2 = t2 - 1
-    for k in range(1, kmax + 1):
-        val = e1 * series[k - 1] - e2 * series[k - 2] if k >= 2 else e1 * series[0]
-        if k >= 3:
-            val += series[k - 3]
-        series.append(val)
-    assert h == series
+    # coefficients of 1 / ((1 - a^2 x)(1 - x)(1 - b^2 x)) with ab = 1, a + b = t,
+    # expanded in exact rationals: the integer recursion gives H_k = p^k h_k
+    for ap, p, kmax in ((-3, 11, 8), (0, 7, 6), (2, 2, 12), (-16, 67, 5)):
+        H = _sym2_numerators(ap, p, kmax)
+        t2 = Fraction(ap * ap, p)
+        # e1 = a^2 + 1 + b^2 = t^2 - 1, e2 = a^2 + b^2 + a^2 b^2 = t^2 - 1, e3 = 1
+        series = [Fraction(1)]
+        e1 = e2 = t2 - 1
+        for k in range(1, kmax + 1):
+            val = e1 * series[k - 1] - e2 * series[k - 2] if k >= 2 else e1 * series[0]
+            if k >= 3:
+                val += series[k - 3]
+            series.append(val)
+        assert H == [p**k * h for k, h in enumerate(series)]
     # degenerate checks: t = 0 gives lambda(p) = -1; t^2 = 4 gives lambda(p) = 3
-    assert _sym2_prime_powers(0, 5, 1)[1] == -1
-    assert _sym2_prime_powers(4, 4, 1)[1] == 3
+    assert _sym2_numerators(0, 5, 1)[1] == -1 * 5
+    assert _sym2_numerators(4, 4, 1)[1] == 3 * 4
+
+
+def test_von_mangoldt_matches_complex_satake_parameters():
+    # Lambda(p^k) = log p (alpha1^k + beta1^k)(alpha2^k + beta2^k), with alpha the
+    # complex root of x^2 - t x + 1 and beta its conjugate
+    X = 2003
+    t1 = trace_table(E37, X)
+    t2 = trace_table(WeierstrassModel(0, 1, 1, -2, 0), X)
+    vm = von_mangoldt(t1, t2, X)
+    assert vm.ramified == (37, 389)
+
+    def power_sum(ap, p, k):
+        t = ap / math.sqrt(p)
+        alpha = complex(t, math.sqrt(4 - t * t)) / 2
+        return 2 * (alpha**k).real
+
+    expected = {}
+    for p in t1.good_primes():
+        if p in t2.good:
+            k = 1
+            while p**k <= X:
+                expected[(p, k)] = (
+                    math.log(p) * power_sum(t1.good[p], p, k) * power_sum(t2.good[p], p, k)
+                )
+                k += 1
+    assert set(vm.entries) == set(expected)
+    for key, value in vm.entries.items():
+        # the absolute floor only matters where P_k vanishes and the float route rounds to ~1e-16
+        assert math.isclose(value, expected[key], rel_tol=1e-9, abs_tol=1e-9), key
 
 
 def test_smooth_sum_S_equals_H_on_twists():
