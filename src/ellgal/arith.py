@@ -91,8 +91,42 @@ def least_nonresidue(p: int) -> int:
     return g
 
 
-# Deterministic Miller-Rabin bases, valid for all n < 3.3 * 10^24.
+# Miller-Rabin to the first twelve prime bases proves primality below
+# 318665857834031151167461, the least strong pseudoprime to all of them
+# (Sorenson-Webster); above it, is_prime adds a strong Lucas test (BPSW).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PROVEN_BELOW = 318665857834031151167461
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, for odd n > 37."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D|n) = -1 exists
+    D = 5
+    while kronecker(D, n) != -1:
+        if math.gcd(D, n) > 1:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    s = valuation(n + 1, 2)
+    d = (n + 1) >> s
+
+    def half(v):
+        return (v + n if v & 1 else v) // 2 % n
+
+    # U_k, V_k and Q^k mod n, from k = 1 along the bits of d
+    U, V, Qk = 1, P, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(P * U + V), half(D * U + P * V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
@@ -114,7 +148,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PROVEN_BELOW or _strong_lucas(n)
 
 
 def _pollard_rho(n: int) -> int | None:

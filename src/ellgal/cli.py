@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -37,6 +38,11 @@ def _parse_prime(n, flag):
     if not is_prime(n):
         raise ParseReject(f"{flag} must be a prime, got {n}")
     return n
+
+
+def _check_bound(n):
+    if n < 2:
+        raise ParseReject(f"-X must be at least 2, the least prime, got {n}")
 
 
 def _emit(data, fmt):
@@ -100,6 +106,7 @@ def tate_cmd(curve, prime, fmt):
 @_guarded
 def ap(curve, bound, fmt):
     """Frobenius traces a_p for p <= X."""
+    _check_bound(bound)
     red = global_reduce(_parse_curve(curve))
     table = trace_table(red, bound)
     _emit(
@@ -121,6 +128,7 @@ def ap(curve, bound, fmt):
 @_guarded
 def image(curve, ell, bound, fmt):
     """Mod-ell image certificate scan."""
+    _check_bound(bound)
     if _parse_prime(ell, "-l") == 3:
         raise ParseReject("the image scan does not support ell = 3")
     red = global_reduce(_parse_curve(curve))
@@ -151,6 +159,7 @@ def image(curve, ell, bound, fmt):
 @_guarded
 def pair(curve1, curve2, bound, fmt):
     """Least trace-distinguishing prime and the comparison bound for a pair."""
+    _check_bound(bound)
     m1, m2 = _parse_curve(curve1), _parse_curve(curve2)
     r1, r2 = global_reduce(m1), global_reduce(m2)
     t1, t2 = trace_table(r1, bound), trace_table(r2, bound)
@@ -177,6 +186,7 @@ def pair(curve1, curve2, bound, fmt):
 @_guarded
 def epsilon(curve, ell, bound, fmt):
     """Quadratic character candidates for a non-surjective ell, after pruning."""
+    _check_bound(bound)
     if _parse_prime(ell, "-l") <= 3:
         raise ParseReject(f"the epsilon machinery needs ell > 3, got {ell}")
     red = global_reduce(_parse_curve(curve))
@@ -242,6 +252,9 @@ def family_cmd(file, tag, ceiling, input_format, fmt):
 @_guarded
 def pairs(file, bound, cap, seed, input_format, fmt):
     """Pair witness statistics over a corpus."""
+    _check_bound(bound)
+    if cap < 1:
+        raise ParseReject(f"--sample must be a positive number of pairs, got {cap}")
     corpus = _ingest_checked(file, input_format)
     fam = familymod.build_family(corpus, "all", 10**18)
     _emit(familymod.pair_statistics(fam, bound, cap, seed), fmt)
@@ -269,6 +282,8 @@ def cm_census_cmd(ceiling, fmt):
 @_guarded
 def symsum(file, labels, scale, input_format, fmt):
     """Smooth diagonal and cross sums of symmetric-square coefficients."""
+    if not 0 < scale < math.inf:
+        raise ParseReject(f"-X must be a positive finite scale, got {scale}")
     corpus = _ingest_checked(file, input_format)
     want = [s.strip() for s in labels.split(",")]
     if len(want) != 2:

@@ -79,7 +79,12 @@ def ingest(path, fmt: str) -> Corpus:
         records.append(CurveRecord(label, model, global_reduce(model)))
         seen_labels.add(label)
 
-    with open(path, encoding="utf-8") as fh:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"not UTF-8 text ({exc.reason})") from exc
+    with io.StringIO(text) as fh:
         if fmt == "csvAinvariants":
             reader = csv.reader(fh)
             header = next(reader, None)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,38 @@ def test_is_prime_larger():
     assert is_prime(10**9 + 7)
     assert not is_prime(10**9 + 8)
     assert is_prime(2**61 - 1)
+
+
+# strong pseudoprimes to the first 9, 12 and 13 prime bases
+STRONG_PSEUDOPRIMES = (3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_prime_and_factorize_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(4)
+    # Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number when all three are prime
+    carmichael = []
+    for k in (1, 6, 35, 45, 51, 55, 56, 100, 121, 195):
+        f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        assert all(sympy.isprime(q) for q in f)
+        carmichael.append(f[0] * f[1] * f[2])
+    k = rnd.randrange(10**8, 2 * 10**8)
+    while len(carmichael) < 14:
+        f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(q) for q in f):
+            carmichael.append(f[0] * f[1] * f[2])  # 27 digits
+        k += 1
+    randoms = [rnd.randrange(10**24, 10**40) | 1 for _ in range(300)]
+    primes = [sympy.nextprime(rnd.randrange(10**24, 10**40)) for _ in range(40)]
+    semiprimes = [p * q for p, q in zip(primes[::2], primes[1::2])]
+    for n in (*STRONG_PSEUDOPRIMES, *carmichael, *randoms, *primes, *semiprimes):
+        assert is_prime(n) == sympy.isprime(n), n
+    # trial division to 10^6 dominates on inputs without small factors, so few of those
+    smooth = [math.prod(rnd.choice((2, 3, 5, 7, 101, 65537, 999983)) for _ in range(6))]
+    smooth += [smooth[0] * rnd.randrange(2, 10**7) for _ in range(10)]
+    hard = (STRONG_PSEUDOPRIMES[1], *carmichael[-2:], *primes[:2], smooth[0] * primes[2])
+    for n in (*hard, *carmichael[:-4], *smooth):
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0))

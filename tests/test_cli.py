@@ -36,9 +36,12 @@ def test_tate_csv_format(runner):
     assert parsed["kodaira"] == "I1"
 
 
-def test_parse_reject_exit_code_1(runner, tmp_path):
+def test_parse_reject_exit_code_1(runner, tmp_path, small_corpus_csv):
     headerless = tmp_path / "nohdr.csv"
     headerless.write_text("0,0,1,-1,0,w\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"a1,a2,a3,a4,a6,label\n0,0,1,-1,0,caf\xe9\n")
+    corpus = str(small_corpus_csv)
     rejected = [
         ["tate", "0,0,1,-1", "-p", "37"],
         ["tate", "0,0,0,0,0", "-p", "2"],  # singular
@@ -54,6 +57,23 @@ def test_parse_reject_exit_code_1(runner, tmp_path):
     ]
     rejected += [["tate", "0,0,1,-1,0", "-p", p] for p in ("1", "0", "4", "35", "-5")]
     rejected += [["cm-census", "-N", n] for n in ("0", "-3")]
+    rejected += [
+        ["family", str(latin1), "-N", "100"],
+        ["pairs", str(latin1), "-X", "100"],
+        ["symsum", str(latin1), "--pair", "row2,row2", "-X", "100"],
+        ["pairs", corpus, "-X", "100", "--sample", "-1"],
+        ["pairs", corpus, "-X", "100", "--sample", "0"],
+    ]
+    rejected += [["symsum", corpus, "--pair", "c0000,c0001", "-X", x] for x in ("-5", "0", "nan")]
+    # bounds below 2 leave no prime to look at
+    for x in ("1", "0", "-3"):
+        rejected += [
+            ["ap", "0,0,1,-1,0", "-X", x],
+            ["image", "0,0,1,-1,0", "-l", "5", "-X", x],
+            ["pair", "0,0,1,-1,0", "0,1,1,-2,0", "-X", x],
+            ["epsilon", "0,0,1,-1,0", "-l", "5", "-X", x],
+            ["pairs", corpus, "-X", x],
+        ]
     for args in rejected:
         res = runner.invoke(cli.main, args)
         assert res.exit_code == 1, args

@@ -1,15 +1,23 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgal.arith import kronecker, primes_up_to
+from ellgal.arith import kronecker, least_nonresidue, primes_up_to
 from ellgal.curve import (
     NAIVE_CROSSOVER,
     BadReduction,
     SingularModel,
     WeierstrassModel,
+    _count_naive_short,
+    _ec_add,
+    _ec_mul,
+    _local_short_model,
+    _point_order,
+    _random_point,
+    _sqrt_mod,
     count_points,
     quadratic_twist,
     quartic_twist_model,
@@ -20,6 +28,16 @@ from ellgal.localdata import global_reduce
 
 E37 = WeierstrassModel(0, 0, 1, -1, 0)
 E11 = WeierstrassModel(0, -1, 1, -10, -20)
+E389 = WeierstrassModel(0, 1, 1, -2, 0)
+# the j = 0 and j = 1728 curves often have non-cyclic groups mod p
+ORACLE_CURVES = (
+    E37,
+    E11,
+    E389,
+    WeierstrassModel(1, -1, 1, -1, -14),
+    WeierstrassModel(0, 0, 1, 0, 0),
+    WeierstrassModel(0, 0, 0, -1, 0),
+)
 
 
 def test_invariants_examples():
@@ -91,9 +109,99 @@ def test_naive_vs_bsgs_agree(corpus):
             ), (rec.label, p)
 
 
+def test_bsgs_matches_naive_below_3000():
+    # covers the band below 700 where BSGS falls back on Cartier-Manin
+    for model in ORACLE_CURVES:
+        disc = model.discriminant()
+        for p in primes_up_to(3000):
+            if p < 5 or disc % p == 0:
+                continue
+            assert count_points(model, p, strategy="bsgs") == count_points(
+                model, p, strategy="naive"
+            ), (model.ainvs(), p)
+
+
+def _curve_points(A, B, p):
+    points = []
+    for x in range(p):
+        rhs = (x * x * x + A * x + B) % p
+        if kronecker(rhs, p) != -1:
+            y = _sqrt_mod(rhs, p)
+            points += [(x, y), (x, -y % p)] if y else [(x, 0)]
+    return points
+
+
+def test_point_order_contract():
+    # _point_order returns a divisor d of #E(F_p) whose multiples in the Hasse
+    # window are exactly the n there with nP = 0; every point for p < 100,
+    # random ones above, on each curve and its quadratic twist
+    primes = [p for p in primes_up_to(100) if p >= 5] + [211, 1009, 2003, 4001, 10007, 65537]
+    for model in ORACLE_CURVES:
+        for p in primes:
+            A, B, vdmin = _local_short_model(model, p)
+            if vdmin:
+                continue
+            g = least_nonresidue(p)
+            s = math.isqrt(4 * p) + 1
+            lo, hi = p + 1 - s, p + 1 + s
+            for a, b in ((A % p, B % p), (A * g * g % p, B * g**3 % p)):
+                order = _count_naive_short(a, b, p)
+                if p < 100:
+                    points = _curve_points(a, b, p)
+                else:
+                    points, state = [], p
+                    for _ in range(6):
+                        P, state = _random_point(a, b, p, state)
+                        points.append(P)
+                for P in points:
+                    d = _point_order(P, a, p, lo, hi)
+                    assert order % d == 0, (model.ainvs(), p, P)
+                    killed = set()
+                    R = _ec_mul(lo, P, a, p)
+                    for n in range(lo, hi + 1):
+                        if R is None:
+                            killed.add(n)
+                        R = _ec_add(R, P, a, p)
+                    assert killed == set(range(lo + (-lo) % d, hi + 1, d)), (model.ainvs(), p, P)
+
+
+def test_bsgs_pinned_large_primes():
+    # a_p from the factoring BSGS that preceded the current one; the values at
+    # 1000003 and 3000017 also agree with the naive count
+    pinned = {
+        E37: {
+            1000003: -51,
+            3000017: 386,
+            10000019: 1638,
+            40000003: -6178,
+            100000007: 16008,
+            300000007: 17697,
+            1000000007: 43800,
+            1234567891: -11468,
+            1600000009: -48154,
+            1999999003: 38981,
+        },
+        E389: {
+            1000003: 1254,
+            3000017: -1717,
+            10000019: -189,
+            40000003: -8340,
+            100000007: -8245,
+            300000007: -14720,
+            1000000007: 28969,
+            1234567891: -38664,
+            1600000009: -3018,
+            1999999003: 2076,
+        },
+    }
+    for model, traces in pinned.items():
+        for p, ap in traces.items():
+            assert count_points(model, p) == ap, (model.ainvs(), p)
+
+
 def test_routes_agree_around_naive_crossover(corpus):
     # auto switches from the naive count to BSGS inside this window
-    primes = [p for p in primes_up_to(2**14 + 500) if p >= 2**14 - 500]
+    primes = [p for p in primes_up_to(NAIVE_CROSSOVER + 500) if p >= NAIVE_CROSSOVER - 500]
     assert primes[0] < NAIVE_CROSSOVER < primes[-1]
     records = corpus.records
     for rec in (records[0], records[len(records) // 2], records[-1]):
