@@ -151,22 +151,42 @@ def is_prime(n: int) -> bool:
     return n < _MR_PROVEN_BELOW or _strong_lucas(n)
 
 
+# Brent's rounds double r up to this; a cycle with tail and period both <= 2^20
+# is found, which covers every cycle Floyd's method finds within 10^6 steps
+_RHO_MAX_ROUND = 1 << 20
+_RHO_BATCH = 128
+
+
 def _pollard_rho(n: int) -> int | None:
-    """One Brent-style rho pass over a few polynomial offsets; None on failure."""
+    """Brent's rho (BIT 20, 1980) over a few polynomial offsets; None on failure.
+
+    The differences x - y are multiplied 128 at a time before each gcd; a batch
+    whose gcd is n is replayed one step at a time from its start.
+    """
     if n % 2 == 0:
         return 2
     for c in (1, 3, 5, 7, 11):
-        x = y = 2
-        d = 1
-        f = lambda v: (v * v + c) % n
-        count = 0
-        while d == 1 and count < 1_000_000:
-            x = f(x)
-            y = f(f(y))
-            d = math.gcd(abs(x - y), n)
-            count += 1
-        if 1 < d < n:
-            return d
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1 and r <= _RHO_MAX_ROUND:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = math.gcd(prod, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g
     return None
 
 

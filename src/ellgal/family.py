@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,107 +264,123 @@ class _Local23Memo:
     def __init__(self, builder, power):
         self.builder = builder  # rep integer -> WeierstrassModel
         self.power = power  # 2, 4, or 6
-        self.cache2 = {}
-        self.cache3 = {}
+        self.cache = {}
+        self.lists = {}
 
-    def key2(self, sign, v2, odd_residue):
-        return (v2 % self.power if self.power > 2 else v2, (sign * odd_residue) % 16)
+    def f(self, p, sign, v, unit):
+        """f_p (p = 2 or 3) of the twist by sign * p^v * unit, unit prime to p;
+        the key is v mod power and sign * unit mod 16 (p = 2) or 27 (p = 3)."""
+        key = (p, v % self.power, sign * unit % (16 if p == 2 else 27))
+        if key not in self.cache:
+            self.cache[key] = _tate_steps(self.builder(sign * p**v * unit), p).f
+        return self.cache[key]
 
-    def key3(self, sign, v3, unit_residue):
-        return (v3 % self.power if self.power > 2 else v3, (sign * unit_residue) % 27)
-
-    def f2(self, sign, v2, odd_residue):
-        k = self.key2(sign, v2, odd_residue)
-        if k not in self.cache2:
-            rep = sign * 2**v2 * odd_residue
-            self.cache2[k] = _tate_steps(self.builder(rep), 2).f
-        return self.cache2[k]
-
-    def f3(self, sign, v3, unit_residue):
-        k = self.key3(sign, v3, unit_residue)
-        if k not in self.cache3:
-            rep = sign * 3**v3 * unit_residue
-            self.cache3[k] = _tate_steps(self.builder(rep), 3).f
-        return self.cache3[k]
+    def factors(self, r16, r27):
+        """2^f2 * 3^f3 of the twists by sign * 2^a * 3^b * u over (sign, a, b),
+        0 <= a, b < power, for u prime to 6 with u = r16 mod 16 and u = r27 mod 27."""
+        key = (r16, r27)
+        if key not in self.lists:
+            span = range(self.power)
+            self.lists[key] = [
+                2 ** self.f(2, sign, a, r16 * 3**b % 16) * 3 ** self.f(3, sign, b, r27 * 2**a % 27)
+                for sign in (1, -1)
+                for a in span
+                for b in span
+            ]
+        return self.lists[key]
 
 
-def _census_quadratic(D, ceiling, conductors):
-    """Quadratic twists of one base (j not 0 or 1728) with conductor <= ceiling."""
-    ainvs, j = CM_BASES[D]
+def _tally(counts, tops, big, factors, mult):
+    """Add mult * #{F in sorted factors : big * F <= top} to each top's count."""
+    for i in range(bisect_left(tops, big * factors[0]), len(tops)):
+        counts[i] += mult * bisect_right(factors, tops[i] // big)
+
+
+def _quadratic_family(D):
+    """Twist builder and the base's bad primes q >= 5 for one quadratic family."""
+    ainvs, _ = CM_BASES[D]
     base = global_reduce(WeierstrassModel(*ainvs))
     c4, c6 = base.minimal_model.c_invariants()
-    q_primes = [p for p in base.locals if p >= 5]
 
     def build(d):
         return WeierstrassModel(0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3)
 
+    return build, [p for p in base.locals if p >= 5]
+
+
+def _q_exp(build, q, d, cache):
+    """Exponent at a base bad prime q >= 5 of the twist by d, keyed by v_q(d) and unit class."""
+    vq = 1 if d % q == 0 else 0
+    chi = kronecker((d // q if vq else d) % q, q)
+    key = (q, vq, chi)
+    if key not in cache:
+        rep = q**vq * (1 if chi == 1 else least_nonresidue(q))
+        cache[key] = _tate_table(build(rep), q).f
+    return cache[key]
+
+
+def _census_quadratic(D, tops, squarefree):
+    """Members of one quadratic family (j not 0 or 1728) with conductor <= each top.
+
+    Each m gives one sorted list of N / big over its 8 twists, big being the
+    product of p^2 for p | m off the base's bad primes.
+    """
+    build, q_primes = _quadratic_family(D)
     memo = _Local23Memo(build, 2)
-    # exponent at a base bad prime q >= 5 under twisting, keyed by v_q(d) and unit class
-    qf = {}
-
-    def q_exp(q, d):
-        vq = 1 if d % q == 0 else 0
-        unit = (d // q if vq else d) % q
-        key = (q, vq, kronecker(unit, q))
-        if key not in qf:
-            rep = q**vq * (1 if kronecker(unit, q) == 1 else least_nonresidue(q))
-            qf[key] = _tate_table(build(rep), q).f
-        return qf[key]
-
-    root = math.isqrt(ceiling)
-    for m, mprimes in _squarefree_coprime6(root):
+    twists = [sign * 2**a * 3**b for sign in (1, -1) for a in (0, 1) for b in (0, 1)]
+    q_cache = {}
+    # no member's q-part is below q_floor: d = 1, n, q, qn hit every key of _q_exp
+    q_floor = 1
+    for q in q_primes:
+        n = least_nonresidue(q)
+        q_floor *= q ** min(_q_exp(build, q, d, q_cache) for d in (1, n, q, q * n))
+    counts = [0] * len(tops)
+    for m, mprimes in squarefree:
         big = 1
         for p in mprimes:
             if p not in q_primes:
                 big *= p * p
-        if big > ceiling:
+        if big * q_floor > tops[-1]:
             continue
-        for sign in (1, -1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    d = sign * 2**a * 3**b * m
-                    N = big
-                    for q in q_primes:
-                        N *= q ** q_exp(q, d)
-                    if N > ceiling:
-                        continue
-                    N *= 2 ** memo.f2(sign, a, (3**b * m) % 16)
-                    N *= 3 ** memo.f3(sign, b, (2**a * m) % 27)
-                    if N <= ceiling:
-                        conductors.append((N, j))
+        factors = list(memo.factors(m % 16, m % 27))
+        for q in q_primes:
+            for i, t in enumerate(twists):
+                factors[i] *= q ** _q_exp(build, q, t * m, q_cache)
+        factors.sort()
+        _tally(counts, tops, big, factors, 1)
+    return counts
 
 
-def _census_power_family(power, ceiling, conductors):
-    """Quartic (j = 1728) or sextic (j = 0) twists y^2 = x^3 + dx / y^2 = x^3 + d."""
-    j = 1728 if power == 4 else 0
+def _census_power_family(power, tops, squarefree):
+    """Quartic (j = 1728) or sextic (j = 0) twists y^2 = x^3 + dx / y^2 = x^3 + d
+    with conductor <= each top.
+
+    A twist d = sign * 2^a * 3^b * prod p^e_p (m = prod p squarefree, 1 <= e_p < power)
+    has conductor m^2 * 2^f2 * 3^f3, and f2, f3 depend only on sign, a, b and the
+    unit class (r16, r27) of prod p^e_p. So each class keeps one sorted list of
+    2^f2 * 3^f3 over (sign, a, b), and each m folds its exponent vectors into a
+    count per class.
+    """
     memo = _Local23Memo(lambda rep: _power_model(power, rep), power)
-    root = math.isqrt(ceiling)
-    exps = range(1, power)
-    for m, mprimes in _squarefree_coprime6(root):
-        big = 1
+    units = [(r16, r27) for r16 in range(1, 16, 2) for r27 in range(1, 27) if r27 % 3]
+    lists = {cls: sorted(memo.factors(*cls)) for cls in units}
+    floor = min(factors[0] for factors in lists.values())
+    counts = [0] * len(tops)
+    for m, mprimes in squarefree:
+        if m * m * floor > tops[-1]:
+            break  # m ascends
+        classes = {(1, 1): 1}
         for p in mprimes:
-            big *= p * p
-        if big > ceiling:
-            continue
-        # iterate exponent vectors; only the residues mod 16 and 27 matter locally
-        vectors = [(1, 1)]  # (value mod 16, value mod 27)
-        for p in mprimes:
-            vectors = [
-                ((r16 * pow(p, e, 16)) % 16, (r27 * pow(p, e, 27)) % 27)
-                for (r16, r27) in vectors
-                for e in exps
-            ]
-        for r16, r27 in vectors:
-            for sign in (1, -1):
-                for a in range(power):
-                    for b in range(power):
-                        N = big
-                        N *= 2 ** memo.f2(sign, a, (r16 * pow(3, b, 16)) % 16)
-                        if N > ceiling:
-                            continue
-                        N *= 3 ** memo.f3(sign, b, (r27 * pow(2, a, 27)) % 27)
-                        if N <= ceiling:
-                            conductors.append((N, j))
+            steps = [(pow(p, e, 16), pow(p, e, 27)) for e in range(1, power)]
+            folded = {}
+            for (r16, r27), k in classes.items():
+                for s16, s27 in steps:
+                    key = (r16 * s16 % 16, r27 * s27 % 27)
+                    folded[key] = folded.get(key, 0) + k
+            classes = folded
+        for cls, mult in classes.items():
+            _tally(counts, tops, m * m, lists[cls], mult)
+    return counts
 
 
 def _power_model(power, d):
@@ -385,28 +402,22 @@ def cm_census(ceiling: int, ladder=None) -> dict:
     ladder = sorted(set(n for n in ladder if n <= ceiling))
     if not ladder:
         ladder = [ceiling]
-    conductors = []
+    # perJInvariant counts every member up to the ceiling, even above the ladder's top
+    tops = ladder if ladder[-1] == ceiling else ladder + [ceiling]
+    squarefree = _squarefree_coprime6(math.isqrt(ceiling))
+    totals = [0] * len(tops)
+    per_j = {}
     for D in sorted(CM_BASES):
         if D == -4:
-            _census_power_family(4, ceiling, conductors)
+            family = _census_power_family(4, tops, squarefree)
         elif D == -3:
-            _census_power_family(6, ceiling, conductors)
+            family = _census_power_family(6, tops, squarefree)
         else:
-            _census_quadratic(D, ceiling, conductors)
-    values = sorted(N for N, _ in conductors)
-    counts = []
-    for top in ladder:
-        lo, hi = 0, len(values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if values[mid] <= top:
-                lo = mid + 1
-            else:
-                hi = mid
-        counts.append(lo)
-    per_j = {}
-    for N, j in conductors:
-        per_j[str(j)] = per_j.get(str(j), 0) + 1
+            family = _census_quadratic(D, tops, squarefree)
+        totals = [t + c for t, c in zip(totals, family)]
+        if family[-1]:
+            per_j[str(CM_BASES[D][1])] = family[-1]
+    counts = totals[: len(ladder)]
     if len(ladder) >= 2 and all(c > 0 for c in counts):
         logs_n = np.log([float(n) for n in ladder])
         logs_c = np.log([float(c) for c in counts])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ellgal.arith import (
     Factorization,
     IncompleteFactorization,
+    _pollard_rho,
     class_number,
     class_number_one_discriminants,
     factorize,
@@ -151,6 +152,18 @@ def test_factorize_large_semiprime():
     f = factorize(n)
     assert f.value() == n
     assert [p for p, _ in f.factors] == [1000003, 1000033]
+
+
+def test_rho_splits_psi12_and_psi13():
+    # psi12 and psi13 are products of two 12- and 13-digit primes: rho needs ~10^6 steps
+    for p, q in ((399165290221, 798330580441), (1287836182261, 2575672364521)):
+        assert factorize(p * q).factors == ((p, 1), (q, 1))
+    # small odd composites: a batch of 128 differences often has gcd n, so the
+    # one-step replay has to find the factor
+    for n in range(9, 5000, 2):
+        if not is_prime(n):
+            d = _pollard_rho(n)
+            assert d is not None and 1 < d < n and n % d == 0, n
 
 
 def test_incomplete_factorization_carries_cofactor():

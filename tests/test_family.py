@@ -1,10 +1,20 @@
+import itertools
 import json
+import math
+from collections import Counter
 
 import pytest
 
 from ellgal.curve import WeierstrassModel
 from ellgal.family import (
     CM_BASES,
+    _census_power_family,
+    _census_quadratic,
+    _Local23Memo,
+    _power_model,
+    _q_exp,
+    _quadratic_family,
+    _squarefree_coprime6,
     build_family,
     cm_census,
     ingest,
@@ -120,22 +130,119 @@ def test_cm_census_monotone_and_empty():
     assert tiny["counts"] == [0]
 
 
+def _local23(memo, sign, a, b, r16, r27):
+    """2^f2 * 3^f3 of the twist by sign * 2^a * 3^b * u, u = r16 mod 16, u = r27 mod 27."""
+    return 2 ** memo.f(2, sign, a, r16 * 3**b % 16) * 3 ** memo.f(3, sign, b, r27 * 2**a % 27)
+
+
+def _power_twists(power, unit_primes):
+    """Every (sign, a, b, u) with d = sign * 2^a * 3^b * u a power-free twist parameter,
+    0 <= a, b < power, and u prime to 6 with rad(u) = prod unit_primes."""
+    unit_exps = itertools.product(range(1, power), repeat=len(unit_primes))
+    for sign, a, b, exps in itertools.product((1, -1), range(power), range(power), unit_exps):
+        yield sign, a, b, math.prod(p**e for p, e in zip(unit_primes, exps))
+
+
+def _check_exact_counts(family_counts, conductors):
+    """The census counting loop, asked for conductor <= N - 1 and <= N at each N met,
+    must count exactly the twists whose reduced conductor is N."""
+    tops = sorted({N for N in conductors} | {N - 1 for N in conductors})
+    counts = dict(zip(tops, family_counts(tops, _squarefree_coprime6(math.isqrt(tops[-1])))))
+    for N, k in Counter(conductors).items():
+        assert counts[N] - counts[N - 1] == k, N
+
+
 def test_cm_census_memo_agrees_with_global_reduce():
-    # spot-check the memoized conductor arithmetic against full reduction
+    # m^2 * 2^f2 * 3^f3 (times the q-part for quadratics), computed through the
+    # census memo, against the conductor of the reduced twist model; the twists
+    # cover v_2 and v_3 up to power - 1, both signs, and every exponent vector of u
     from ellgal.curve import quadratic_twist, quartic_twist_model, sextic_twist_model
 
     base = WeierstrassModel(*CM_BASES[-7][0])
-    for d in (5, -5, 11, -35, 2, -6):
-        red = global_reduce(quadratic_twist(base, d))
-        assert red.conductor > 0  # full pipeline runs; census used the same fibers
-    quart = [5, -5, 8, 24, 125, -27]
-    sext = [5, -5, 16, 72, 3125, -243]
-    for d4, d6 in zip(quart, sext):
-        g4 = global_reduce(quartic_twist_model(d4)).conductor
-        g6 = global_reduce(sextic_twist_model(d6)).conductor
-        rep4 = cm_census(g4)
-        rep6 = cm_census(g6)
-        assert rep4["counts"][-1] >= 1 and rep6["counts"][-1] >= 1
+    build, q_primes = _quadratic_family(-7)
+    assert q_primes == [7]
+    memo, q_cache, conductors = _Local23Memo(build, 2), {}, []
+    for m in (1, 7, 55, 385):  # 55 and -1 are non-residues mod 7
+        for sign, a, b in itertools.product((1, -1), (0, 1), (0, 1)):
+            d = sign * 2**a * 3**b * m
+            N = (m // 7 if m % 7 == 0 else m) ** 2
+            N *= _local23(memo, sign, a, b, m % 16, m % 27)
+            N *= 7 ** _q_exp(build, 7, d, q_cache)
+            assert N == global_reduce(quadratic_twist(base, d)).conductor, d
+            conductors.append(N)
+    _check_exact_counts(lambda tops, sq: _census_quadratic(-7, tops, sq), conductors)
+
+    for power, model in ((4, quartic_twist_model), (6, sextic_twist_model)):
+        memo = _Local23Memo(lambda rep: _power_model(power, rep), power)
+        conductors = []
+        # 5^e * 11^f falls into fewer unit classes mod (16, 27) than it has vectors
+        for unit_primes in ([], [5, 11]):
+            m = math.prod(unit_primes)
+            for sign, a, b, u in _power_twists(power, unit_primes):
+                d = sign * 2**a * 3**b * u
+                N = m * m * _local23(memo, sign, a, b, u % 16, u % 27)
+                assert N == global_reduce(model(d)).conductor, d
+                conductors.append(N)
+        _check_exact_counts(lambda tops, sq: _census_power_family(power, tops, sq), conductors)
+
+
+def _nested_loop_census(ceiling, ladder):
+    """The census as a list of every member's conductor: per family, squarefree m,
+    exponent vector, sign, a and b, with the memo asked for each exponent."""
+    conductors = []
+    root = math.isqrt(ceiling)
+    for D in sorted(CM_BASES):
+        j = CM_BASES[D][1]
+        if D in (-3, -4):
+            power = 6 if D == -3 else 4
+            memo = _Local23Memo(lambda rep: _power_model(power, rep), power)
+            for m, mprimes in _squarefree_coprime6(root):
+                vectors = [(1, 1)]
+                for p in mprimes:
+                    vectors = [
+                        (r16 * pow(p, e, 16) % 16, r27 * pow(p, e, 27) % 27)
+                        for r16, r27 in vectors
+                        for e in range(1, power)
+                    ]
+                for r16, r27 in vectors:
+                    for sign, a, b in itertools.product((1, -1), range(power), range(power)):
+                        N = m * m * _local23(memo, sign, a, b, r16, r27)
+                        if N <= ceiling:
+                            conductors.append((N, j))
+            continue
+        build, q_primes = _quadratic_family(D)
+        memo, q_cache = _Local23Memo(build, 2), {}
+        for m, mprimes in _squarefree_coprime6(root):
+            big = math.prod(p * p for p in mprimes if p not in q_primes)
+            for sign, a, b in itertools.product((1, -1), (0, 1), (0, 1)):
+                d = sign * 2**a * 3**b * m
+                N = big * _local23(memo, sign, a, b, m % 16, m % 27)
+                for q in q_primes:
+                    N *= q ** _q_exp(build, q, d, q_cache)
+                if N <= ceiling:
+                    conductors.append((N, j))
+    counts = [sum(1 for N, _ in conductors if N <= top) for top in ladder]
+    per_j = Counter(str(j) for _, j in conductors)
+    return counts, dict(per_j)
+
+
+def test_cm_census_matches_nested_loop_enumeration():
+    # 1089 = 9 * 11^2 and 3872 = 32 * 11^2 are sextic and quartic conductors m^2 * F
+    # with F the family's smallest 2^f2 * 3^f3, the edge where the m loop stops
+    for ceiling in (10**3, 1089, 3872, 10**4, 10**5, 10**6):
+        rep = cm_census(ceiling)
+        counts, per_j = _nested_loop_census(ceiling, rep["ceilings"])
+        assert rep["counts"] == counts
+        assert rep["perJInvariant"] == per_j
+    ladder = [1, 50, 999, 12345, 10**5]
+    rep = cm_census(10**5, ladder)
+    assert rep["ceilings"] == ladder
+    assert (rep["counts"], rep["perJInvariant"]) == _nested_loop_census(10**5, ladder)
+    # perJInvariant counts up to the ceiling even when the ladder stops below it
+    rep = cm_census(30000, [999, 12345])
+    assert (rep["counts"], rep["perJInvariant"]) == _nested_loop_census(30000, [999, 12345])
+    tiny = cm_census(1)
+    assert tiny["counts"] == [0] and tiny["perJInvariant"] == {}
 
 
 def test_report_emit_deterministic():

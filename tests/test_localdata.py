@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellgal.arith import valuation
-from ellgal.curve import WeierstrassModel, quadratic_twist
+from ellgal.arith import factorize, valuation
+from ellgal.curve import SingularModel, WeierstrassModel, quadratic_twist
 from ellgal.localdata import (
     InvariantViolation,
     NotAdditivePotGood,
     _check_f_bound,
     _tate_steps,
+    _tate_table,
     global_reduce,
     inertial_type,
     phi_order,
@@ -243,3 +246,53 @@ def test_multiplicative_split_orientation():
     assert red.locals[37].red_type == "multNonsplit"
     red11 = global_reduce(WeierstrassModel(0, -1, 1, -10, -20))
     assert red11.locals[11].red_type == "multSplit"
+
+
+def _scaled_up(model, k):
+    """The model with (x, y) -> (x / k^2, y / k^3): a_i -> k^i a_i, the same curve."""
+    a1, a2, a3, a4, a6 = model.ainvs()
+    return WeierstrassModel(k * a1, k**2 * a2, k**3 * a3, k**4 * a4, k**6 * a6)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=15),
+)
+@settings(max_examples=60, deadline=None)
+def test_reduction_data_invariant_under_integral_changes(corpus, index, r, s, t, k):
+    # an integral (r, s, t) change and a scale-up by k give another model of the
+    # same curve: each p keeps its Kodaira symbol and conductor exponent
+    rec = corpus.records[index % len(corpus.records)]
+    moved = _scaled_up(rec.model.transform(r=r, s=s, t=t), k)
+    red = global_reduce(moved)
+    assert red.conductor == rec.reduction.conductor
+    got = {p: (loc.kodaira, loc.f) for p, loc in red.locals.items()}
+    assert got == {p: (loc.kodaira, loc.f) for p, loc in rec.reduction.locals.items()}
+    for p in set(rec.reduction.locals) | set(factorize(k).primes()):
+        loc, ref = tate(moved, p), tate(rec.model, p)
+        assert (loc.kodaira, loc.f) == (ref.kodaira, ref.f), p
+
+
+@given(
+    st.sampled_from([5, 7, 11, 13]),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-30, max_value=30).filter(lambda n: n != 0),
+    st.integers(min_value=-30, max_value=30).filter(lambda n: n != 0),
+    st.tuples(*[st.integers(min_value=-20, max_value=20)] * 3),
+)
+@settings(max_examples=80, deadline=None)
+def test_tate_table_and_steps_agree_at_p_ge_5(p, alpha, beta, A, B, rst):
+    # y^2 = x^3 + p^alpha A x + p^beta B runs through every Kodaira type at p,
+    # non-minimal models included; a random (r, s, t) change hides the short form
+    try:
+        model = WeierstrassModel(0, 0, 0, p**alpha * A, p**beta * B)
+    except SingularModel:
+        return
+    r, s, t = rst
+    model = model.transform(r=r, s=s, t=t)
+    table, steps = _tate_table(model, p), _tate_steps(model, p)
+    assert (table.kodaira, table.f) == (steps.kodaira, steps.f)
