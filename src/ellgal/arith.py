@@ -213,8 +213,12 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-def factorize(n: int, smooth_bound: int = 10**6) -> Factorization:
-    """Factor n by trial division up to smooth_bound, then Pollard rho.
+# trial division stops here; Brent's rho splits anything larger faster
+_TRIAL_BOUND = 1000
+
+
+def factorize(n: int) -> Factorization:
+    """Factor n by trial division below _TRIAL_BOUND, then BPSW and Pollard rho.
 
     Raises IncompleteFactorization (carrying the cofactor) if a composite
     cofactor survives both stages.
@@ -237,11 +241,11 @@ def factorize(n: int, smooth_bound: int = 10**6) -> Factorization:
     take(2)
     take(3)
     p = 5
-    while p * p <= m and p <= smooth_bound:
+    while p * p <= m and p <= _TRIAL_BOUND:
         take(p)
         take(p + 2)
         p += 6
-    if m > 1 and m <= smooth_bound * smooth_bound:
+    if m > 1 and m <= _TRIAL_BOUND * _TRIAL_BOUND:
         # cofactor below the trial-division square is necessarily prime
         factors[m] = factors.get(m, 0) + 1
         m = 1

@@ -163,9 +163,8 @@ def pair(curve1, curve2, bound, fmt):
     m1, m2 = _parse_curve(curve1), _parse_curve(curve2)
     r1, r2 = global_reduce(m1), global_reduce(m2)
     t1, t2 = trace_table(r1, bound), trace_table(r2, bound)
-    c1, c2 = galois.curve_constant(r1), galois.curve_constant(r2)
     try:
-        res = galois.comparison_bound(r1, t1, r2, t2, c1, c2, bound)
+        res = galois.comparison_bound(r1, t1, r2, t2, bound)
         _emit(
             {
                 "witness": {"p": res.witness.p, "a1": res.witness.a1, "a2": res.witness.a2},

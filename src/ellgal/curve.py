@@ -101,13 +101,12 @@ def _minimal_scaling(c4, c6, vdelta, p):
 
 
 def _local_short_model(model, p):
-    """For p >= 5: (A, B, v_p(Delta_min)) with E locally minimal as y^2 = x^3+Ax+B mod p."""
+    """For p >= 5: (c4', c6', v_p(Delta_min)) of a p-minimal model; E is then
+    y^2 = x^3 - 27 c4' x - 54 c6', minimal at p."""
     c4, c6 = model.c_invariants()
     vd = valuation(model.discriminant(), p)
     d = _minimal_scaling(c4, c6, vd, p)
-    c4m = c4 // p ** (4 * d)
-    c6m = c6 // p ** (6 * d)
-    return -27 * c4m, -54 * c6m, vd - 12 * d
+    return c4 // p ** (4 * d), c6 // p ** (6 * d), vd - 12 * d
 
 
 def _sqrt_mod(a, p):
@@ -301,6 +300,8 @@ def _count_bsgs(A, B, p):
 
 def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int:
     """Frobenius trace a_p = p + 1 - #E(F_p) at a prime of good reduction."""
+    if strategy not in ("auto", "naive", "bsgs"):
+        raise ValueError(f"unknown strategy {strategy!r}; expected auto, naive or bsgs")
     if p in (2, 3):
         disc = model.discriminant()
         if disc % p != 0:
@@ -311,9 +312,10 @@ def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int
         if loc.f != 0:
             raise BadReduction(f"p={p} divides the minimal discriminant")
         return p + 1 - _count_naive_23(loc.minimal_model, p)
-    A, B, vdmin = _local_short_model(model, p)
+    c4m, c6m, vdmin = _local_short_model(model, p)
     if vdmin != 0:
         raise BadReduction(f"p={p} divides the minimal discriminant")
+    A, B = -27 * c4m, -54 * c6m
     if strategy == "naive" or (strategy == "auto" and p < NAIVE_CROSSOVER):
         n = _count_naive_short(A, B, p)
     else:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .arith import kronecker, least_nonresidue, primes_up_to, smallest_prime_factors
 from .curve import SingularModel, WeierstrassModel, trace_table
-from .galois import ceil_four_sqrt, curve_constant, pair_witness
+from .galois import pair_bound, pair_witness
 from .localdata import GlobalReduction, _tate_steps, _tate_table, global_reduce
 
 
@@ -114,12 +114,8 @@ def ingest(path, fmt: str) -> Corpus:
 
 
 def _is_cm(record: CurveRecord) -> bool:
-    table = _cached_traces(record.reduction, 500)
-    good = [p for p in table.good_primes() if p >= 5]
-    if not good:
-        return False
-    zeros = sum(1 for p in good if table.good[p] == 0)
-    return zeros / len(good) > 0.35
+    """Over Q, E has CM exactly when j(E) is one of the thirteen CM j-invariants."""
+    return record.model.j_invariant() in _CM_J
 
 
 def _passes(record: CurveRecord, tag: str) -> bool:
@@ -168,16 +164,12 @@ def pair_statistics(family: Family, X: int, sample_cap: int, seed: int) -> dict:
     below_logsq = 0
     for i, j in pairs:
         r1, r2 = recs[i], recs[j]
-        w = pair_witness(
-            tables[r1.label], tables[r2.label], r1.reduction.conductor, r2.reduction.conductor, X
-        )
+        w = pair_witness(tables[r1.label], tables[r2.label], X)
         if w is None:
             no_witness.append([r1.label, r2.label])
             entries.append({"pair": [r1.label, r2.label], "witness": None, "bound": None})
         else:
-            bound = max(
-                curve_constant(r1.reduction), curve_constant(r2.reduction), ceil_four_sqrt(w.p)
-            )
+            bound = pair_bound(r1.reduction, r2.reduction, w.p)
             entries.append({"pair": [r1.label, r2.label], "witness": w.p, "bound": bound})
             logsq = math.log(max(r1.reduction.conductor, r2.reduction.conductor)) ** 2
             if w.p <= logsq:
@@ -212,6 +204,7 @@ CM_BASES = {
     -67: ((0, 0, 1, -7370, 243528), -147197952000),
     -163: ((0, 0, 1, -2174420, 1234136692), -262537412640768000),
 }
+_CM_J = frozenset(j for _, j in CM_BASES.values())
 
 _BASES_VALIDATED = False
 
@@ -391,6 +384,8 @@ def _power_model(power, d):
 
 def cm_census(ceiling: int, ladder=None) -> dict:
     """Count CM curves (over the thirteen rational CM j-invariants) by conductor."""
+    if ceiling < 1 or any(n < 1 for n in ladder or ()):
+        raise ValueError(f"conductor ceilings must be positive: {ceiling}, ladder {ladder}")
     validate_cm_bases()
     if ladder is None:
         ladder = []
@@ -464,7 +459,7 @@ def _flatten(obj, prefix=""):
     return rows
 
 
-def report_emit(report: dict, fmt: str = "json", path=None) -> bytes:
+def report_emit(report: dict, fmt: str = "json") -> bytes:
     """Byte-deterministic serialization; floats pinned at 12 significant digits."""
     data = _normalize(report)
     if fmt == "json":
@@ -482,9 +477,6 @@ def report_emit(report: dict, fmt: str = "json", path=None) -> bytes:
         out = buf.getvalue().encode()
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "wb") as fh:
-            fh.write(out)
     return out
 
 

@@ -176,10 +176,13 @@ def image_test(red: GlobalReduction, table: TraceTable, ell: int, X: int | None 
     return ImageReport(ell, "undetermined", X, certs, obstruction, samples)
 
 
-def pair_witness(t1: TraceTable, t2: TraceTable, N1: int, N2: int, X: int) -> PairWitness | None:
-    """Least p <= X, p coprime to N1 N2, with |a_p(E1)| != |a_p(E2)|; None if absent."""
+def pair_witness(t1: TraceTable, t2: TraceTable, X: int) -> PairWitness | None:
+    """Least p <= X, good for both curves, with |a_p(E1)| != |a_p(E2)|; None if absent.
+
+    A table's good primes leave out every prime that divides its conductor.
+    """
     for p in t1.good_primes():
-        if p > X or p not in t2.good or (N1 * N2) % p == 0:
+        if p > X or p not in t2.good:
             continue
         a1, a2 = t1.good[p], t2.good[p]
         if abs(a1) != abs(a2):
@@ -194,10 +197,9 @@ def joint_surjectivity_test(red1, t1, red2, t2, ell, X=None) -> JointResult:
         rep = image_test(red, tab, ell, X)
         if rep.verdict != "surjective":
             return JointResult("failed", "single-curve-image", None)
-    N12 = red1.conductor * red2.conductor
     same_abs = True
     for p in t1.good_primes():
-        if p > X or p == ell or p not in t2.good or N12 % p == 0:
+        if p > X or p == ell or p not in t2.good:
             continue
         a1, a2 = t1.good[p], t2.good[p]
         if abs(a1) != abs(a2):
@@ -220,17 +222,23 @@ def ceil_four_sqrt(p: int) -> int:
     return root if root * root == 16 * p else root + 1
 
 
-def comparison_bound(red1, t1, red2, t2, cE1, cE2, X=None, window=50) -> ComparisonResult:
-    """max{c(E1), c(E2), ceil(4 sqrt(p(E1,E2)))} with a joint-surjectivity spot-check."""
+def pair_bound(red1: GlobalReduction, red2: GlobalReduction, p: int) -> int:
+    """max{c(E1), c(E2), ceil(4 sqrt(p))} for a trace-distinguishing prime p."""
+    return max(curve_constant(red1), curve_constant(red2), ceil_four_sqrt(p))
+
+
+def comparison_bound(red1, t1, red2, t2, X=None) -> ComparisonResult:
+    """pair_bound at the least witness, with each prime in (bound, bound + 50]
+    spot-checked for joint surjectivity."""
     if X is None:
         X = min(t1.bound, t2.bound)
-    w = pair_witness(t1, t2, red1.conductor, red2.conductor, X)
+    w = pair_witness(t1, t2, X)
     if w is None:
         raise NoWitnessBelow(X)
-    bound = max(cE1, cE2, ceil_four_sqrt(w.p))
+    bound = pair_bound(red1, red2, w.p)
     checks = []
-    for ell in range(bound + 1, bound + window + 1):
-        if not is_prime(ell) or ell == 3:
+    for ell in range(bound + 1, bound + 51):
+        if not is_prime(ell):
             continue
         try:
             res = joint_surjectivity_test(red1, t1, red2, t2, ell, X)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import factorize, kronecker, valuation
-from .curve import WeierstrassModel, _minimal_scaling
+from .curve import WeierstrassModel, _local_short_model, _minimal_scaling
 
 
 class NotAdditivePotGood(Exception):
@@ -68,13 +68,7 @@ def _check_f_bound(p, f):
 
 def _tate_table(model, p):
     """Reduction data at p >= 5 from the (v(c4), v(Delta)) valuation table."""
-    c4, c6 = model.c_invariants()
-    disc = model.discriminant()
-    vd = valuation(disc, p)
-    d = _minimal_scaling(c4, c6, vd, p)
-    c4m = c4 // p ** (4 * d)
-    c6m = c6 // p ** (6 * d)
-    vd -= 12 * d
+    c4m, c6m, vd = _local_short_model(model, p)
     vc4 = _vv(c4m, p)
     mmodel = WeierstrassModel(0, 0, 0, -27 * c4m, -54 * c6m)
     if vd == 0:

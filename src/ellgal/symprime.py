@@ -208,7 +208,7 @@ def linnik_scan(table1: TraceTable, table2: TraceTable = None, chi: int = None, 
     if bound is None:
         bound = table1.bound
     if table2 is not None:
-        w = pair_witness(table1, table2, 1, 1, bound)
+        w = pair_witness(table1, table2, bound)
         return None if w is None else w.p
     if chi is None:
         raise ValueError("need a second curve or a character modulus")

@@ -179,8 +179,6 @@ def test_criterion_06_comparison_bound_spot_check(corpus):
             _table(a.reduction, X),
             b.reduction,
             _table(b.reduction, X),
-            7 if a.reduction.semistable else 37,
-            7 if b.reduction.semistable else 37,
             X,
         )
         for ell, status in res.spot_checks:

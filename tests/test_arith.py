@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellgal import arith
 from ellgal.arith import (
-    Factorization,
     IncompleteFactorization,
     _pollard_rho,
     class_number,
@@ -120,11 +120,18 @@ def test_is_prime_and_factorize_match_sympy():
     semiprimes = [p * q for p, q in zip(primes[::2], primes[1::2])]
     for n in (*STRONG_PSEUDOPRIMES, *carmichael, *randoms, *primes, *semiprimes):
         assert is_prime(n) == sympy.isprime(n), n
-    # trial division to 10^6 dominates on inputs without small factors, so few of those
     smooth = [math.prod(rnd.choice((2, 3, 5, 7, 101, 65537, 999983)) for _ in range(6))]
     smooth += [smooth[0] * rnd.randrange(2, 10**7) for _ in range(10)]
     hard = (STRONG_PSEUDOPRIMES[1], *carmichael[-2:], *primes[:2], smooth[0] * primes[2])
-    for n in (*hard, *carmichael[:-4], *smooth):
+    # trial division stops below 1000, so rho splits every factor in [10^3, 10^6];
+    # one n in four repeats a prime, as rho must also split prime powers
+    band = []
+    for i in range(300):
+        ps = [sympy.nextprime(rnd.randrange(10**3, 10**6)) for _ in range(rnd.randint(1, 3))]
+        if i % 4 == 0:
+            ps[-1] = ps[0]
+        band.append(math.prod(ps))  # below 10^18
+    for n in (*hard, *carmichael[:-4], *smooth, *band):
         assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
@@ -166,15 +173,14 @@ def test_rho_splits_psi12_and_psi13():
             assert d is not None and 1 < d < n and n % d == 0, n
 
 
-def test_incomplete_factorization_carries_cofactor():
-    # a product of two primes above the smooth bound squared resists the
-    # bounded rho attempt only if we force a tiny budget; instead check the
-    # exception type is wired by factoring with an artificially low bound
-    n = 10007 * 10009
-    f = factorize(n, smooth_bound=100)
-    assert f.value() == n  # prime cofactor shortcut still resolves this one
-    with pytest.raises(IncompleteFactorization):
-        raise IncompleteFactorization(n, n, Factorization(1, ()))
+def test_incomplete_factorization_carries_cofactor(monkeypatch):
+    # with rho failing, the composite cofactor left after trial division is
+    # reported along with the part already factored
+    monkeypatch.setattr(arith, "_pollard_rho", lambda n: None)
+    with pytest.raises(IncompleteFactorization) as info:
+        factorize(8 * 1000003 * 1000033)
+    assert info.value.cofactor == 1000003 * 1000033
+    assert info.value.partial.factors == ((2, 3),)
 
 
 def test_is_squarefree():

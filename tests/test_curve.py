@@ -138,9 +138,10 @@ def test_point_order_contract():
     primes = [p for p in primes_up_to(100) if p >= 5] + [211, 1009, 2003, 4001, 10007, 65537]
     for model in ORACLE_CURVES:
         for p in primes:
-            A, B, vdmin = _local_short_model(model, p)
+            c4, c6, vdmin = _local_short_model(model, p)
             if vdmin:
                 continue
+            A, B = -27 * c4, -54 * c6
             g = least_nonresidue(p)
             s = math.isqrt(4 * p) + 1
             lo, hi = p + 1 - s, p + 1 + s
@@ -212,6 +213,14 @@ def test_routes_agree_around_naive_crossover(corpus):
             auto = count_points(model, p)
             assert auto == count_points(model, p, strategy="naive"), (rec.label, p)
             assert auto == count_points(model, p, strategy="bsgs"), (rec.label, p)
+
+
+def test_unknown_strategy_rejected():
+    for strategy in ("nave", "", "BSGS"):
+        with pytest.raises(ValueError, match="strategy"):
+            count_points(E37, 101, strategy=strategy)
+    with pytest.raises(ValueError, match="strategy"):
+        count_points(E37, 2, strategy="nave")
 
 
 def test_bsgs_large_prime_hasse():

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from ellgal.curve import WeierstrassModel
+import ellgal.family as family
+from ellgal.curve import WeierstrassModel, trace_table
 from ellgal.family import (
     CM_BASES,
     _census_power_family,
@@ -97,6 +98,33 @@ def test_cm_filter_catches_the_cm_curves(corpus):
     assert js <= cm_js
 
 
+def _zero_share_is_cm(record):
+    """The former cmOnly rule, kept as an oracle: over 35% of a_p vanish, 5 <= p <= 500."""
+    table = trace_table(record.reduction, 500)
+    good = [p for p in table.good_primes() if p >= 5]
+    return sum(1 for p in good if table.good[p] == 0) > 0.35 * len(good)
+
+
+def test_cm_filter_agrees_with_zero_share_oracle(corpus):
+    cm = {r.label for r in build_family(corpus, "cmOnly", 10**4).records}
+    assert len(cm) == 52
+    sample = [r for i, r in enumerate(corpus.records) if r.label in cm or i % 10 == 0]
+    assert {r.label for r in sample if _zero_share_is_cm(r)} == cm
+
+
+def test_cm_filter_builds_only_fingerprint_tables(corpus, monkeypatch):
+    calls = []
+
+    def counting(red, X):
+        calls.append(X)
+        return trace_table(red, X)
+
+    monkeypatch.setattr(family, "_TRACE_CACHE", {})
+    monkeypatch.setattr(family, "trace_table", counting)
+    fam = build_family(corpus, "cmOnly", 10**4)
+    assert calls == [75] * len(fam.records)
+
+
 def test_pair_statistics_deterministic(family_all):
     s1 = pair_statistics(family_all, 200, 40, seed=11)
     s2 = pair_statistics(family_all, 200, 40, seed=11)
@@ -150,6 +178,12 @@ def _check_exact_counts(family_counts, conductors):
     counts = dict(zip(tops, family_counts(tops, _squarefree_coprime6(math.isqrt(tops[-1])))))
     for N, k in Counter(conductors).items():
         assert counts[N] - counts[N - 1] == k, N
+
+
+def test_cm_census_rejects_nonpositive_ceilings():
+    for ceiling, ladder in ((100, [0, 100]), (100, [-5, 100]), (0, None), (-5, None)):
+        with pytest.raises(ValueError, match="positive"):
+            cm_census(ceiling, ladder)
 
 
 def test_cm_census_memo_agrees_with_global_reduce():

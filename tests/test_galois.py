@@ -183,12 +183,15 @@ def test_insufficient_samples():
 def test_pair_witness_and_bound():
     r1, t1 = _red_and_table(E37)
     r2, t2 = _red_and_table(E389)
-    w = pair_witness(t1, t2, 37, 389, 1000)
+    w = pair_witness(t1, t2, 1000)
     assert w is not None and w.p == 3 and abs(w.a1) != abs(w.a2)
-    res = comparison_bound(r1, t1, r2, t2, 7, 7, 1000)
+    res = comparison_bound(r1, t1, r2, t2, 1000)
     assert res.bound == max(7, 7, 7)  # ceil(4 sqrt(3)) = 7
     for ell, status in res.spot_checks:
         assert status == "jointlySurjective", ell
+    # 32a is additive at 2, so c(32a) = 37 sets the bound
+    r3, t3 = _red_and_table(WeierstrassModel(0, 0, 0, -1, 0))
+    assert comparison_bound(r1, t1, r3, t3, 1000).bound == 37
 
 
 def test_pair_witness_none_for_twists():
@@ -197,9 +200,9 @@ def test_pair_witness_none_for_twists():
     t1 = trace_table(E37, 500)
     t2 = trace_table(tw, 500)
     rtw = global_reduce(tw)
-    assert pair_witness(t1, t2, 37, rtw.conductor, 500) is None
+    assert pair_witness(t1, t2, 500) is None
     with pytest.raises(NoWitnessBelow):
-        comparison_bound(global_reduce(E37), t1, rtw, t2, 7, 37, 500)
+        comparison_bound(global_reduce(E37), t1, rtw, t2, 500)
 
 
 def test_joint_surjectivity_failure_modes():
