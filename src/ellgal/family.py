@@ -150,13 +150,26 @@ def build_family(corpus: Corpus, tag: str, ceiling: int) -> Family:
     return Family(tag, ceiling, tuple(chosen), collisions)
 
 
+def _pairs_at(indices, n):
+    """(i, j) at each ascending index of the lexicographic list of pairs i < j < n."""
+    i = start = 0  # start is the index of (i, i + 1)
+    for k in indices:
+        while k >= start + n - 1 - i:
+            start += n - 1 - i
+            i += 1
+        yield i, i + 1 + k - start
+
+
 def pair_statistics(family: Family, X: int, sample_cap: int, seed: int) -> dict:
     """Distribution of trace-distinguishing primes and comparison bounds over pairs."""
     recs = family.records
-    pairs = [(i, j) for i in range(len(recs)) for j in range(i + 1, len(recs))]
-    rng = random.Random(seed)
-    if len(pairs) > sample_cap:
-        pairs = sorted(rng.sample(pairs, sample_cap))
+    n_pairs = len(recs) * (len(recs) - 1) // 2
+    picks = range(n_pairs)
+    if n_pairs > sample_cap:
+        # sample draws depend only on the population's size, so indices pick the
+        # same pairs a listed population would
+        picks = sorted(random.Random(seed).sample(picks, sample_cap))
+    pairs = list(_pairs_at(picks, len(recs)))
     needed = {recs[i].label for i, _ in pairs} | {recs[j].label for _, j in pairs}
     tables = {r.label: _cached_traces(r.reduction, X) for r in recs if r.label in needed}
     entries = []
@@ -228,59 +241,16 @@ def validate_cm_bases():
 
 
 def _squarefree_coprime6(bound):
-    """Squarefree m <= bound with gcd(m, 6) = 1, each with its prime list."""
+    """Squarefree m <= bound with gcd(m, 6) = 1, each with its ascending prime list."""
     if bound < 1:
         return []
     spf = smallest_prime_factors(bound)
-    out = []
-    for m in range(1, bound + 1):
-        if m % 2 == 0 or m % 3 == 0:
-            continue
-        n, primes, ok = m, [], True
-        while n > 1:
-            p = spf[n]
-            n //= p
-            if n % p == 0:
-                ok = False
-                break
-            primes.append(p)
-        if ok:
-            out.append((m, tuple(primes)))
-    return out
-
-
-class _Local23Memo:
-    """f_2 and f_3 for a twist family, memoized on the p-adic square (or 4th/6th
-    power) class of the twisting parameter; the class pins the local curve up to
-    Q_p-isomorphism, so the exponent is well defined on the key."""
-
-    def __init__(self, builder, power):
-        self.builder = builder  # rep integer -> WeierstrassModel
-        self.power = power  # 2, 4, or 6
-        self.cache = {}
-        self.lists = {}
-
-    def f(self, p, sign, v, unit):
-        """f_p (p = 2 or 3) of the twist by sign * p^v * unit, unit prime to p;
-        the key is v mod power and sign * unit mod 16 (p = 2) or 27 (p = 3)."""
-        key = (p, v % self.power, sign * unit % (16 if p == 2 else 27))
-        if key not in self.cache:
-            self.cache[key] = _tate_steps(self.builder(sign * p**v * unit), p).f
-        return self.cache[key]
-
-    def factors(self, r16, r27):
-        """2^f2 * 3^f3 of the twists by sign * 2^a * 3^b * u over (sign, a, b),
-        0 <= a, b < power, for u prime to 6 with u = r16 mod 16 and u = r27 mod 27."""
-        key = (r16, r27)
-        if key not in self.lists:
-            span = range(self.power)
-            self.lists[key] = [
-                2 ** self.f(2, sign, a, r16 * 3**b % 16) * 3 ** self.f(3, sign, b, r27 * 2**a % 27)
-                for sign in (1, -1)
-                for a in span
-                for b in span
-            ]
-        return self.lists[key]
+    found = {1: ()}
+    for m in range(5, bound + 1):
+        p, rest = spf[m], m // spf[m]
+        if p > 3 and rest % p and rest in found:
+            found[m] = (p,) + found[rest]
+    return list(found.items())
 
 
 def _tally(counts, tops, big, factors, mult):
@@ -289,97 +259,79 @@ def _tally(counts, tops, big, factors, mult):
         counts[i] += mult * bisect_right(factors, tops[i] // big)
 
 
-def _quadratic_family(D):
-    """Twist builder and the base's bad primes q >= 5 for one quadratic family."""
-    ainvs, _ = CM_BASES[D]
-    base = global_reduce(WeierstrassModel(*ainvs))
+def _family(D):
+    """(power, twist builder, q): twists are taken up to power-th powers, and q is
+    the base's one bad prime >= 5, or None."""
+    power = {-3: 6, -4: 4}.get(D, 2)
+    base = global_reduce(WeierstrassModel(*CM_BASES[D][0]))
     c4, c6 = base.minimal_model.c_invariants()
 
     def build(d):
-        return WeierstrassModel(0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3)
+        # c4 = 0 when power = 6 and c6 = 0 when power = 4
+        a4, a6 = -27 * c4 * d ** (4 // power), -54 * c6 * d ** (6 // power)
+        return WeierstrassModel(0, 0, 0, a4, a6)
 
-    return build, [p for p in base.locals if p >= 5]
-
-
-def _q_exp(build, q, d, cache):
-    """Exponent at a base bad prime q >= 5 of the twist by d, keyed by v_q(d) and unit class."""
-    vq = 1 if d % q == 0 else 0
-    chi = kronecker((d // q if vq else d) % q, q)
-    key = (q, vq, chi)
-    if key not in cache:
-        rep = q**vq * (1 if chi == 1 else least_nonresidue(q))
-        cache[key] = _tate_table(build(rep), q).f
-    return cache[key]
+    return power, build, next((p for p in base.locals if p >= 5), None)
 
 
-def _census_quadratic(D, tops, squarefree):
-    """Members of one quadratic family (j not 0 or 1728) with conductor <= each top.
+def _census_family(D, tops, squarefree):
+    """Members of one CM family with conductor <= each top.
 
-    Each m gives one sorted list of N / big over its 8 twists, big being the
-    product of p^2 for p | m off the base's bad primes.
+    A twist d = sign * 2^a * 3^b * u, 0 <= a, b < power, u = prod p^e_p prime to 6
+    (m = prod p squarefree, 1 <= e_p < power) has conductor big * 2^f2 * 3^f3 * q^fq,
+    big = prod p^2 over p | m, p != q. f2, f3 and fq depend only on (sign, a, b)
+    and the class of u: u mod 432 and s = chi_q(u / q^v) * q^v, v = v_q(u). Each class
+    keeps one sorted list of 2^f2 * 3^f3 * q^fq over (sign, a, b), and each m
+    folds its exponent vectors into a count per class.
     """
-    build, q_primes = _quadratic_family(D)
-    memo = _Local23Memo(build, 2)
-    twists = [sign * 2**a * 3**b for sign in (1, -1) for a in (0, 1) for b in (0, 1)]
-    q_cache = {}
-    # no member's q-part is below q_floor: d = 1, n, q, qn hit every key of _q_exp
-    q_floor = 1
-    for q in q_primes:
+    power, build, q = _family(D)
+    memo = {}
+
+    def f(p, v, unit):
+        """f_p of the twist by p^v * unit; the p-adic class of the unit is its
+        residue mod 16 (p = 2), 27 (p = 3) or q."""
+        key = (p, v % power, unit % (16 if p == 2 else 27 if p == 3 else p))
+        if key not in memo:
+            memo[key] = (_tate_steps if p < 5 else _tate_table)(build(p**v * key[2]), p).f
+        return memo[key]
+
+    span = range(power)
+    twists = [(sign, a, b) for sign in (1, -1) for a in span for b in span]
+    # p^f_p over the twists, for each class of u at p
+    at2 = {r: [2 ** f(2, a, sign * 3**b * r) for sign, a, b in twists] for r in range(1, 16, 2)}
+    at3 = {
+        r: [3 ** f(3, b, sign * 2**a * r) for sign, a, b in twists] for r in range(1, 27) if r % 3
+    }
+    if q:
         n = least_nonresidue(q)
-        q_floor *= q ** min(_q_exp(build, q, d, q_cache) for d in (1, n, q, q * n))
+        chis = [kronecker(sign * 2**a * 3**b, q) for sign, a, b in twists]
+        states = (1, -1, q, -q)
+        atq = {s: [q ** f(q, abs(s) // q, 1 if c * s > 0 else n) for c in chis] for s in states}
+    else:
+        atq = {1: [1] * len(twists)}
+    floor = math.prod(min(map(min, at.values())) for at in (at2, at3, atq))
+    lists = {}
     counts = [0] * len(tops)
     for m, mprimes in squarefree:
-        big = 1
-        for p in mprimes:
-            if p not in q_primes:
-                big *= p * p
-        if big * q_floor > tops[-1]:
+        big = (m // q if q in mprimes else m) ** 2
+        if big * floor > tops[-1]:
             continue
-        factors = list(memo.factors(m % 16, m % 27))
-        for q in q_primes:
-            for i, t in enumerate(twists):
-                factors[i] *= q ** _q_exp(build, q, t * m, q_cache)
-        factors.sort()
-        _tally(counts, tops, big, factors, 1)
-    return counts
-
-
-def _census_power_family(power, tops, squarefree):
-    """Quartic (j = 1728) or sextic (j = 0) twists y^2 = x^3 + dx / y^2 = x^3 + d
-    with conductor <= each top.
-
-    A twist d = sign * 2^a * 3^b * prod p^e_p (m = prod p squarefree, 1 <= e_p < power)
-    has conductor m^2 * 2^f2 * 3^f3, and f2, f3 depend only on sign, a, b and the
-    unit class (r16, r27) of prod p^e_p. So each class keeps one sorted list of
-    2^f2 * 3^f3 over (sign, a, b), and each m folds its exponent vectors into a
-    count per class.
-    """
-    memo = _Local23Memo(lambda rep: _power_model(power, rep), power)
-    units = [(r16, r27) for r16 in range(1, 16, 2) for r27 in range(1, 27) if r27 % 3]
-    lists = {cls: sorted(memo.factors(*cls)) for cls in units}
-    floor = min(factors[0] for factors in lists.values())
-    counts = [0] * len(tops)
-    for m, mprimes in squarefree:
-        if m * m * floor > tops[-1]:
-            break  # m ascends
         classes = {(1, 1): 1}
         for p in mprimes:
-            steps = [(pow(p, e, 16), pow(p, e, 27)) for e in range(1, power)]
+            chi = q if p == q else kronecker(p, q) if q else 1
+            steps = [(pow(p, e, 432), chi**e) for e in range(1, power)]
             folded = {}
-            for (r16, r27), k in classes.items():
-                for s16, s27 in steps:
-                    key = (r16 * s16 % 16, r27 * s27 % 27)
+            for (r, s), k in classes.items():
+                for t, c in steps:
+                    key = (r * t % 432, s * c)
                     folded[key] = folded.get(key, 0) + k
             classes = folded
         for cls, mult in classes.items():
-            _tally(counts, tops, m * m, lists[cls], mult)
+            if cls not in lists:
+                r, s = cls
+                lists[cls] = sorted(x * y * z for x, y, z in zip(at2[r % 16], at3[r % 27], atq[s]))
+            _tally(counts, tops, big, lists[cls], mult)
     return counts
-
-
-def _power_model(power, d):
-    if power == 4:
-        return WeierstrassModel(0, 0, 0, d, 0)
-    return WeierstrassModel(0, 0, 0, 0, d)
 
 
 def cm_census(ceiling: int, ladder=None) -> dict:
@@ -403,12 +355,7 @@ def cm_census(ceiling: int, ladder=None) -> dict:
     totals = [0] * len(tops)
     per_j = {}
     for D in sorted(CM_BASES):
-        if D == -4:
-            family = _census_power_family(4, tops, squarefree)
-        elif D == -3:
-            family = _census_power_family(6, tops, squarefree)
-        else:
-            family = _census_quadratic(D, tops, squarefree)
+        family = _census_family(D, tops, squarefree)
         totals = [t + c for t, c in zip(totals, family)]
         if family[-1]:
             per_j[str(CM_BASES[D][1])] = family[-1]

@@ -72,6 +72,12 @@ class ScriptLReport:
     consistent: bool
 
 
+def _check_bound(table: TraceTable, X: int) -> None:
+    """A scan to X needs a table computed at least that far."""
+    if X > table.bound:
+        raise ValueError(f"X = {X} exceeds the trace table's bound {table.bound}")
+
+
 def _is_square(n):
     return n >= 0 and math.isqrt(n) ** 2 == n
 
@@ -125,6 +131,7 @@ def image_test(red: GlobalReduction, table: TraceTable, ell: int, X: int | None 
     """
     if X is None:
         X = table.bound
+    _check_bound(table, X)
     if ell == 2:
         return _image_test_mod2(red, X)
     if ell == 3 or not is_prime(ell) or ell < 2:
@@ -181,6 +188,8 @@ def pair_witness(t1: TraceTable, t2: TraceTable, X: int) -> PairWitness | None:
 
     A table's good primes leave out every prime that divides its conductor.
     """
+    _check_bound(t1, X)
+    _check_bound(t2, X)
     for p in t1.good_primes():
         if p > X or p not in t2.good:
             continue
@@ -295,6 +304,7 @@ def script_l_scan(red: GlobalReduction, table: TraceTable, window, X=None) -> Sc
     """Non-surjective ell = 1 (mod 4) in the window, with a joint divisibility witness."""
     if X is None:
         X = table.bound
+    _check_bound(table, X)
     if isinstance(window, int):
         window = primes_up_to(window)
     window = sorted(set(window))

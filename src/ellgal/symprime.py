@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from .arith import kronecker, smallest_prime_factors
 from .curve import TraceTable
-from .galois import pair_witness
+from .galois import _check_bound, pair_witness
 
 
 class RamanujanViolation(Exception):
@@ -89,6 +89,8 @@ class VonMangoldtSeries:
 
 def von_mangoldt(t1: TraceTable, t2: TraceTable, X: int) -> VonMangoldtSeries:
     """Lambda_{pi1 x pi2}(p^k) = log p * P_k(t1) P_k(t2) at unramified p^k <= X."""
+    _check_bound(t1, X)
+    _check_bound(t2, X)
     entries = {}
     ram = sorted(
         p for p in set(t1.ramified) | set(t2.ramified) if p <= X
@@ -207,6 +209,7 @@ def linnik_scan(table1: TraceTable, table2: TraceTable = None, chi: int = None, 
     lambda(p) = chi(p) lambda(p) (character form); None when no violation is found."""
     if bound is None:
         bound = table1.bound
+    _check_bound(table1, bound)
     if table2 is not None:
         w = pair_witness(table1, table2, bound)
         return None if w is None else w.p

@@ -1,20 +1,19 @@
+import dataclasses
 import itertools
 import json
 import math
+import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 import ellgal.family as family
+from ellgal.arith import kronecker, least_nonresidue
 from ellgal.curve import WeierstrassModel, trace_table
 from ellgal.family import (
     CM_BASES,
-    _census_power_family,
-    _census_quadratic,
-    _Local23Memo,
-    _power_model,
-    _q_exp,
-    _quadratic_family,
+    _census_family,
     _squarefree_coprime6,
     build_family,
     cm_census,
@@ -24,7 +23,7 @@ from ellgal.family import (
     report_parse_csv,
     validate_cm_bases,
 )
-from ellgal.localdata import global_reduce
+from ellgal.localdata import _tate_steps, _tate_table, global_reduce
 
 # census counts verified against a direct enumeration of every admissible twist
 # parameter with globalReduce computing each conductor (no memoization)
@@ -134,6 +133,30 @@ def test_pair_statistics_deterministic(family_all):
     assert s1["pairsTotal"] == 40
 
 
+def test_pair_statistics_samples_by_index(family_all):
+    # oracle: list every pair (i, j), i < j, and sample the list with the same seed
+    for size in (0, 1, 2, 3, 60):
+        fam = dataclasses.replace(family_all, records=family_all.records[:size])
+        labels = [r.label for r in fam.records]
+        listed = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        for cap, seed in itertools.product((1, 7, 1769, 1770, 5000), (0, 1, 42)):
+            expected = listed
+            if len(listed) > cap:
+                expected = sorted(random.Random(seed).sample(listed, cap))
+            got = pair_statistics(fam, 75, cap, seed)["entries"]
+            assert [e["pair"] for e in got] == [[labels[i], labels[j]] for i, j in expected]
+
+    pair_statistics(family_all, 75, 1000, seed=1)  # trace tables cached before tracing
+    tracemalloc.start()
+    try:
+        stats = pair_statistics(family_all, 75, 1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["pairsTotal"] == 1000
+    assert peak < 10 * 2**20, peak
+
+
 def test_validate_cm_bases_and_count():
     validate_cm_bases()  # raises on any j or trace-pattern mismatch
     assert len(CM_BASES) == 13
@@ -158,11 +181,6 @@ def test_cm_census_monotone_and_empty():
     assert tiny["counts"] == [0]
 
 
-def _local23(memo, sign, a, b, r16, r27):
-    """2^f2 * 3^f3 of the twist by sign * 2^a * 3^b * u, u = r16 mod 16, u = r27 mod 27."""
-    return 2 ** memo.f(2, sign, a, r16 * 3**b % 16) * 3 ** memo.f(3, sign, b, r27 * 2**a % 27)
-
-
 def _power_twists(power, unit_primes):
     """Every (sign, a, b, u) with d = sign * 2^a * 3^b * u a power-free twist parameter,
     0 <= a, b < power, and u prime to 6 with rad(u) = prod unit_primes."""
@@ -171,13 +189,13 @@ def _power_twists(power, unit_primes):
         yield sign, a, b, math.prod(p**e for p, e in zip(unit_primes, exps))
 
 
-def _check_exact_counts(family_counts, conductors):
-    """The census counting loop, asked for conductor <= N - 1 and <= N at each N met,
+def _check_exact_counts(D, conductors):
+    """The census of family D, asked for conductor <= N - 1 and <= N at each N met,
     must count exactly the twists whose reduced conductor is N."""
     tops = sorted({N for N in conductors} | {N - 1 for N in conductors})
-    counts = dict(zip(tops, family_counts(tops, _squarefree_coprime6(math.isqrt(tops[-1])))))
+    counts = dict(zip(tops, _census_family(D, tops, _squarefree_coprime6(math.isqrt(tops[-1])))))
     for N, k in Counter(conductors).items():
-        assert counts[N] - counts[N - 1] == k, N
+        assert counts[N] - counts[N - 1] == k, (D, N)
 
 
 def test_cm_census_rejects_nonpositive_ceilings():
@@ -187,74 +205,95 @@ def test_cm_census_rejects_nonpositive_ceilings():
 
 
 def test_cm_census_memo_agrees_with_global_reduce():
-    # m^2 * 2^f2 * 3^f3 (times the q-part for quadratics), computed through the
-    # census memo, against the conductor of the reduced twist model; the twists
-    # cover v_2 and v_3 up to power - 1, both signs, and every exponent vector of u
+    # each listed twist's conductor comes from global_reduce, and the census must
+    # count exactly those twists; each list holds every twist of its conductors,
+    # since m is read off the conductor's part prime to 6 * q
     from ellgal.curve import quadratic_twist, quartic_twist_model, sextic_twist_model
 
-    base = WeierstrassModel(*CM_BASES[-7][0])
-    build, q_primes = _quadratic_family(-7)
-    assert q_primes == [7]
-    memo, q_cache, conductors = _Local23Memo(build, 2), {}, []
-    for m in (1, 7, 55, 385):  # 55 and -1 are non-residues mod 7
-        for sign, a, b in itertools.product((1, -1), (0, 1), (0, 1)):
-            d = sign * 2**a * 3**b * m
-            N = (m // 7 if m % 7 == 0 else m) ** 2
-            N *= _local23(memo, sign, a, b, m % 16, m % 27)
-            N *= 7 ** _q_exp(build, 7, d, q_cache)
-            assert N == global_reduce(quadratic_twist(base, d)).conductor, d
-            conductors.append(N)
-    _check_exact_counts(lambda tops, sq: _census_quadratic(-7, tops, sq), conductors)
+    quadratic = {
+        -7: (1, 7, 55, 385),  # 55 and -1 are non-residues mod 7
+        -11: (1, 11, 35, 385),  # chi_11(2) = chi_11(7) = -1: the q-state flips sign
+        -8: (1, 5, 35),  # no bad prime >= 5 in the base
+    }
+    for D, ms in quadratic.items():
+        base = WeierstrassModel(*CM_BASES[D][0])
+        signs_a_b = list(itertools.product((1, -1), (0, 1), (0, 1)))
+        twists = [sign * 2**a * 3**b * m for m in ms for sign, a, b in signs_a_b]
+        _check_exact_counts(D, [global_reduce(quadratic_twist(base, d)).conductor for d in twists])
 
-    for power, model in ((4, quartic_twist_model), (6, sextic_twist_model)):
-        memo = _Local23Memo(lambda rep: _power_model(power, rep), power)
-        conductors = []
+    for D, power, model in ((-4, 4, quartic_twist_model), (-3, 6, sextic_twist_model)):
         # 5^e * 11^f falls into fewer unit classes mod (16, 27) than it has vectors
-        for unit_primes in ([], [5, 11]):
-            m = math.prod(unit_primes)
-            for sign, a, b, u in _power_twists(power, unit_primes):
-                d = sign * 2**a * 3**b * u
-                N = m * m * _local23(memo, sign, a, b, u % 16, u % 27)
-                assert N == global_reduce(model(d)).conductor, d
-                conductors.append(N)
-        _check_exact_counts(lambda tops, sq: _census_power_family(power, tops, sq), conductors)
+        conductors = [
+            global_reduce(model(sign * 2**a * 3**b * u)).conductor
+            for unit_primes in ([], [5, 11])
+            for sign, a, b, u in _power_twists(power, unit_primes)
+        ]
+        _check_exact_counts(D, conductors)
+
+
+class _ExponentOracle:
+    """Conductor exponents of one family's twists at 2, 3 and the base's bad primes
+    q >= 5, built without the census code and memoized as an earlier census design
+    keyed them: f_2 and f_3 on (p, v mod power, sign * unit mod 16 or 27) of the
+    models y^2 = x^3 + dx, y^2 = x^3 + d or the quadratic twist, and f_q on
+    (q, v_q(d), chi_q(d / q^v))."""
+
+    def __init__(self, D):
+        self.power = {-3: 6, -4: 4}.get(D, 2)
+        base = global_reduce(WeierstrassModel(*CM_BASES[D][0]))
+        c4, c6 = base.minimal_model.c_invariants()
+        self.build = {
+            6: lambda d: WeierstrassModel(0, 0, 0, 0, d),
+            4: lambda d: WeierstrassModel(0, 0, 0, d, 0),
+            2: lambda d: WeierstrassModel(0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3),
+        }[self.power]
+        self.q_primes = [p for p in base.locals if p >= 5]
+        self.cache = {}
+
+    def f(self, p, sign, v, unit):
+        """f_p (p = 2 or 3) of the twist by sign * p^v * unit, unit prime to p."""
+        key = (p, v % self.power, sign * unit % (16 if p == 2 else 27))
+        if key not in self.cache:
+            self.cache[key] = _tate_steps(self.build(sign * p**v * unit), p).f
+        return self.cache[key]
+
+    def local23(self, sign, a, b, u):
+        """2^f2 * 3^f3 of the twist by sign * 2^a * 3^b * u, u prime to 6."""
+        return 2 ** self.f(2, sign, a, u * 3**b % 16) * 3 ** self.f(3, sign, b, u * 2**a % 27)
+
+    def q_part(self, d):
+        """prod q^f_q over the base's bad primes q >= 5 of the twist by d."""
+        out = 1
+        for q in self.q_primes:
+            vq = 1 if d % q == 0 else 0
+            chi = kronecker((d // q if vq else d) % q, q)
+            key = (q, vq, chi)
+            if key not in self.cache:
+                rep = q**vq * (1 if chi == 1 else least_nonresidue(q))
+                self.cache[key] = _tate_table(self.build(rep), q).f
+            out *= q ** self.cache[key]
+        return out
 
 
 def _nested_loop_census(ceiling, ladder):
     """The census as a list of every member's conductor: per family, squarefree m,
-    exponent vector, sign, a and b, with the memo asked for each exponent."""
+    exponent vector, sign, a and b, with the oracle asked for each exponent."""
     conductors = []
     root = math.isqrt(ceiling)
     for D in sorted(CM_BASES):
         j = CM_BASES[D][1]
-        if D in (-3, -4):
-            power = 6 if D == -3 else 4
-            memo = _Local23Memo(lambda rep: _power_model(power, rep), power)
-            for m, mprimes in _squarefree_coprime6(root):
-                vectors = [(1, 1)]
-                for p in mprimes:
-                    vectors = [
-                        (r16 * pow(p, e, 16) % 16, r27 * pow(p, e, 27) % 27)
-                        for r16, r27 in vectors
-                        for e in range(1, power)
-                    ]
-                for r16, r27 in vectors:
-                    for sign, a, b in itertools.product((1, -1), range(power), range(power)):
-                        N = m * m * _local23(memo, sign, a, b, r16, r27)
-                        if N <= ceiling:
-                            conductors.append((N, j))
-            continue
-        build, q_primes = _quadratic_family(D)
-        memo, q_cache = _Local23Memo(build, 2), {}
+        oracle = _ExponentOracle(D)
+        power = oracle.power
         for m, mprimes in _squarefree_coprime6(root):
-            big = math.prod(p * p for p in mprimes if p not in q_primes)
-            for sign, a, b in itertools.product((1, -1), (0, 1), (0, 1)):
-                d = sign * 2**a * 3**b * m
-                N = big * _local23(memo, sign, a, b, m % 16, m % 27)
-                for q in q_primes:
-                    N *= q ** _q_exp(build, q, d, q_cache)
-                if N <= ceiling:
-                    conductors.append((N, j))
+            big = math.prod(p * p for p in mprimes if p not in oracle.q_primes)
+            units = [1]
+            for p in mprimes:
+                units = [u * p**e for u in units for e in range(1, power)]
+            for u in units:
+                for sign, a, b in itertools.product((1, -1), range(power), range(power)):
+                    N = big * oracle.local23(sign, a, b, u) * oracle.q_part(sign * 2**a * 3**b * u)
+                    if N <= ceiling:
+                        conductors.append((N, j))
     counts = [sum(1 for N, _ in conductors if N <= top) for top in ladder]
     per_j = Counter(str(j) for _, j in conductors)
     return counts, dict(per_j)

@@ -205,6 +205,30 @@ def test_pair_witness_none_for_twists():
         comparison_bound(global_reduce(E37), t1, rtw, t2, 500)
 
 
+def test_scans_reject_bound_above_table():
+    from ellgal.symprime import linnik_scan, von_mangoldt
+
+    red, t = _red_and_table(E37, 100)
+    tw = quadratic_twist(E37, 5)
+    rtw, ttw = global_reduce(tw), trace_table(tw, 100)
+    big = 10**6
+    calls = [
+        lambda: image_test(red, t, 5, big),
+        lambda: image_test(red, t, 2, big),
+        lambda: pair_witness(t, ttw, big),
+        lambda: comparison_bound(red, t, rtw, ttw, big),
+        lambda: joint_surjectivity_test(red, t, rtw, ttw, 7, big),
+        lambda: script_l_scan(red, t, 50, big),
+        lambda: von_mangoldt(t, t, big),
+        lambda: linnik_scan(t, ttw, bound=big),
+        lambda: linnik_scan(t, chi=12, bound=big),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="exceeds the trace table's bound 100"):
+            call()
+    assert image_test(red, t, 5, 100).bound == 100  # the table's own bound is fine
+
+
 def test_joint_surjectivity_failure_modes():
     r1, t1 = _red_and_table(E37)
     tw = quadratic_twist(E37, 5)
