@@ -222,6 +222,8 @@ def _ingest_checked(path, input_format):
 @_guarded
 def family_cmd(file, tag, ceiling, input_format, fmt):
     """Conductor-ordered family built from a curve corpus file."""
+    if ceiling < 1:
+        raise ParseReject(f"-N must be a positive conductor ceiling, got {ceiling}")
     corpus = _ingest_checked(file, input_format)
     tagmap = {"all": "all", "ss": "semistable", "add12": "additiveCond12", "cm": "cmOnly"}
     fam = familymod.build_family(corpus, tagmap[tag], ceiling)

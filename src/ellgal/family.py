@@ -61,6 +61,8 @@ def ingest(path, fmt: str) -> Corpus:
 
     def add(rownum, fields, label):
         try:
+            if any(isinstance(v, (bool, float)) for v in fields):  # JSON true or -1.5
+                raise TypeError("not an integer")
             coeffs = [int(v) for v in fields]
         except (TypeError, ValueError):
             rejects.append((rownum, "non-integer coefficient"))
@@ -107,7 +109,11 @@ def ingest(path, fmt: str) -> Corpus:
                 except (json.JSONDecodeError, KeyError, TypeError):
                     rejects.append((rownum, "malformed JSON row"))
                     continue
-                add(rownum, fields, obj.get("label"))
+                label = obj.get("label")
+                if not isinstance(label, (str, type(None))):
+                    rejects.append((rownum, "label is not a string"))
+                    continue
+                add(rownum, fields, label)
         else:
             raise ValueError(f"unknown format {fmt!r}")
     return Corpus(tuple(records), tuple(rejects))
@@ -278,18 +284,18 @@ def _census_family(D, tops, squarefree):
     """Members of one CM family with conductor <= each top.
 
     A twist d = sign * 2^a * 3^b * u, 0 <= a, b < power, u = prod p^e_p prime to 6
-    (m = prod p squarefree, 1 <= e_p < power) has conductor big * 2^f2 * 3^f3 * q^fq,
-    big = prod p^2 over p | m, p != q. f2, f3 and fq depend only on (sign, a, b)
-    and the class of u: u mod 432 and s = chi_q(u / q^v) * q^v, v = v_q(u). Each class
-    keeps one sorted list of 2^f2 * 3^f3 * q^fq over (sign, a, b), and each m
-    folds its exponent vectors into a count per class.
+    (m = prod p squarefree, 1 <= e_p < power) has conductor big * 2^f2 * 3^f3 with
+    big = q^fq * prod p^2 over p | m, p != q. f2 and f3 depend only on (sign, a, b)
+    and u mod 432, so each residue keeps one sorted list of 2^f2 * 3^f3 over
+    (sign, a, b), and each m folds its exponent vectors into a count per residue.
+    Families with a q are quadratic: fq must agree over q^v * unit, v in {0, 1},
+    unit a residue or not.
     """
     power, build, q = _family(D)
     memo = {}
 
     def f(p, v, unit):
-        """f_p of the twist by p^v * unit; the p-adic class of the unit is its
-        residue mod 16 (p = 2), 27 (p = 3) or q."""
+        """f_p of the twist by p^v * unit, whose p-adic class is unit mod 16, 27 or q."""
         key = (p, v % power, unit % (16 if p == 2 else 27 if p == 3 else p))
         if key not in memo:
             memo[key] = (_tate_steps if p < 5 else _tate_table)(build(p**v * key[2]), p).f
@@ -302,35 +308,28 @@ def _census_family(D, tops, squarefree):
     at3 = {
         r: [3 ** f(3, b, sign * 2**a * r) for sign, a, b in twists] for r in range(1, 27) if r % 3
     }
-    if q:
-        n = least_nonresidue(q)
-        chis = [kronecker(sign * 2**a * 3**b, q) for sign, a, b in twists]
-        states = (1, -1, q, -q)
-        atq = {s: [q ** f(q, abs(s) // q, 1 if c * s > 0 else n) for c in chis] for s in states}
-    else:
-        atq = {1: [1] * len(twists)}
-    floor = math.prod(min(map(min, at.values())) for at in (at2, at3, atq))
-    lists = {}
+    fq = {f(q, v, unit) for v in (0, 1) for unit in (1, least_nonresidue(q))} if q else {0}
+    if len(fq) != 1:
+        raise RuntimeError(f"f_q varies over the twists of D={D} at q={q}: {sorted(fq)}")
+    qf = (q or 1) ** fq.pop()
+    units = [r for r in range(1, 432, 2) if r % 3]
+    lists = {r: sorted(x * y for x, y in zip(at2[r % 16], at3[r % 27])) for r in units}
+    floor = min(factors[0] for factors in lists.values())
     counts = [0] * len(tops)
     for m, mprimes in squarefree:
-        big = (m // q if q in mprimes else m) ** 2
+        big = (m // q if q in mprimes else m) ** 2 * qf
         if big * floor > tops[-1]:
             continue
-        classes = {(1, 1): 1}
+        classes = {1: 1}
         for p in mprimes:
-            chi = q if p == q else kronecker(p, q) if q else 1
-            steps = [(pow(p, e, 432), chi**e) for e in range(1, power)]
+            steps = [pow(p, e, 432) for e in range(1, power)]
             folded = {}
-            for (r, s), k in classes.items():
-                for t, c in steps:
-                    key = (r * t % 432, s * c)
-                    folded[key] = folded.get(key, 0) + k
+            for r, k in classes.items():
+                for t in steps:
+                    folded[r * t % 432] = folded.get(r * t % 432, 0) + k
             classes = folded
-        for cls, mult in classes.items():
-            if cls not in lists:
-                r, s = cls
-                lists[cls] = sorted(x * y * z for x, y, z in zip(at2[r % 16], at3[r % 27], atq[s]))
-            _tally(counts, tops, big, lists[cls], mult)
+        for r, mult in classes.items():
+            _tally(counts, tops, big, lists[r], mult)
     return counts
 
 

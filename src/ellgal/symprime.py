@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from .arith import kronecker, smallest_prime_factors
 from .curve import TraceTable
 from .galois import _check_bound, pair_witness
@@ -117,15 +115,24 @@ def c_delta(delta, constant=PRINTED_CONSTANT) -> Fraction:
 
 
 class SmoothTestFunction:
-    """C-infinity bump exp(-1/((u-a)(b-u))) on (a, b), scaled so its integral is 1."""
+    """C-infinity bump exp(-1/((u-a)(b-u))) on (a, b), scaled so its integral is 1.
+
+    Its mass is a trapezoid sum, the step halved until sums on >= 16 intervals agree to
+    1e-13; with all derivatives 0 at a and b the error falls faster than any power of the
+    step (Trefethen & Weideman 2014). The first sum, at the peak, is 0 only on underflow."""
 
     def __init__(self, a, b):
-        self.a = float(a)
-        self.b = float(b)
-        raw, err = quad(self._raw, self.a, self.b, epsabs=0.0, epsrel=1e-12, limit=200)
-        if raw <= 0 or err > 1e-10 * raw:
-            raise RuntimeError("bump normalization did not converge")
-        self.norm = 1.0 / raw
+        self.a, self.b = float(a), float(b)
+        n, values, raw = 1, [], math.inf
+        while raw > 0 and n < 2**20:
+            n *= 2
+            h = (self.b - self.a) / n
+            values += [self._raw(self.a + i * h) for i in range(1, n, 2)]
+            last, raw = raw, math.fsum(values) * h
+            if n > 16 and abs(raw - last) <= 1e-13 * raw:
+                self.norm = 1.0 / raw
+                return
+        raise RuntimeError("bump normalization did not converge")
 
     def _raw(self, u):
         if u <= self.a or u >= self.b:

@@ -57,6 +57,7 @@ def test_parse_reject_exit_code_1(runner, tmp_path, small_corpus_csv):
     ]
     rejected += [["tate", "0,0,1,-1,0", "-p", p] for p in ("1", "0", "4", "35", "-5")]
     rejected += [["cm-census", "-N", n] for n in ("0", "-3")]
+    rejected += [["family", corpus, "-N", n] for n in ("0", "-5")]
     rejected += [
         ["family", str(latin1), "-N", "100"],
         ["pairs", str(latin1), "-X", "100"],
@@ -79,6 +80,25 @@ def test_parse_reject_exit_code_1(runner, tmp_path, small_corpus_csv):
         assert res.exit_code == 1, args
         assert isinstance(res.exception, SystemExit), args  # no traceback escaped
         assert res.stderr.startswith("parse error:") and res.stderr.count("\n") == 1, args
+
+
+def test_family_rejects_non_string_json_labels(runner, tmp_path):
+    # a dict label cannot be hashed, and an int label cannot sort beside the
+    # string label of a curve with the same conductor; null keeps the row default
+    path = tmp_path / "labels.jsonl"
+    rows = [
+        {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": "37a"},
+        {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": {"k": 1}},
+        {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": 5},
+        {"a1": 0, "a2": 1, "a3": 1, "a4": -2, "a6": 0, "label": None},
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    res = runner.invoke(cli.main, ["family", str(path), "-N", "1000"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # no traceback escaped
+    data = json.loads(res.stdout)
+    assert data["rejects"] == [[2, "label is not a string"], [3, "label is not a string"]]
+    assert [r["label"] for r in data["records"]] == ["37a", "row4"]
 
 
 def test_invariant_violation_exit_code_2(runner, monkeypatch):

@@ -65,10 +65,19 @@ def test_ingest_json_lines(tmp_path):
         {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": "w"},
         {"a1": 0, "a2": 1, "a3": 1, "a4": -2, "a6": 0},
         {"broken": True},
+        # int() would truncate -1.5 to -1 and read true as 1, both giving 37a
+        {"a1": 0, "a2": 0, "a3": 1, "a4": -1.5, "a6": 0, "label": "float"},
+        {"a1": 0, "a2": 0, "a3": True, "a4": -1, "a6": 0, "label": "bool"},
+        {"a1": "0", "a2": "0", "a3": "1", "a4": "-1", "a6": "0", "label": "strings"},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     corpus = ingest(path, "jsonLines")
-    assert len(corpus.records) == 2 and len(corpus.rejects) == 1
+    assert [r.label for r in corpus.records] == ["w", "row2", "strings"]
+    assert corpus.rejects == (
+        (3, "malformed JSON row"),
+        (4, "non-integer coefficient"),
+        (5, "non-integer coefficient"),
+    )
     assert corpus.records[0].reduction.conductor == 37
 
 
@@ -204,6 +213,22 @@ def test_cm_census_rejects_nonpositive_ceilings():
             cm_census(ceiling, ladder)
 
 
+def test_cm_census_rejects_f_q_that_varies_over_twists(monkeypatch):
+    # the census reads one f_q per family from the Tate runs at q; a run that
+    # differs for the nonresidue class must stop it rather than skew the counts
+    D, q = -7, 7
+    _, build, _ = family._family(D)
+    nonresidue = {build(q**v * least_nonresidue(q)) for v in (0, 1)}
+
+    def tate(model, p):
+        loc = _tate_table(model, p)
+        return dataclasses.replace(loc, f=loc.f + 1) if p == q and model in nonresidue else loc
+
+    monkeypatch.setattr(family, "_tate_table", tate)
+    with pytest.raises(RuntimeError, match="f_q varies"):
+        _census_family(D, [10**4], _squarefree_coprime6(100))
+
+
 def test_cm_census_memo_agrees_with_global_reduce():
     # each listed twist's conductor comes from global_reduce, and the census must
     # count exactly those twists; each list holds every twist of its conductors,
@@ -212,7 +237,7 @@ def test_cm_census_memo_agrees_with_global_reduce():
 
     quadratic = {
         -7: (1, 7, 55, 385),  # 55 and -1 are non-residues mod 7
-        -11: (1, 11, 35, 385),  # chi_11(2) = chi_11(7) = -1: the q-state flips sign
+        -11: (1, 11, 35, 385),  # chi_11(2) = chi_11(7) = -1: the class at 11 flips
         -8: (1, 5, 35),  # no bad prime >= 5 in the base
     }
     for D, ms in quadratic.items():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,13 +119,25 @@ def test_bump_functions():
     phi = bump_phi()
     assert psi(1.0) == 0.0 and psi(2.0) == 0.0 and psi(1.5) > 0
     assert phi(0.5) == 0.0 and phi(0.75) > 0
-    # normalized to unit mass
+    # normalized to unit mass, with scipy's adaptive quadrature as the oracle
     from scipy.integrate import quad
 
-    mass, _ = quad(psi, 1, 2)
-    assert abs(mass - 1) < 1e-9
-    mass_phi, _ = quad(phi, 0.5, 1)
-    assert abs(mass_phi - 1) < 1e-9
+    for a, b in ((0.5, 1), (1, 2), (0, 3), (2, 5), (0, 10)):
+        mass, _ = quad(SmoothTestFunction(a, b), a, b, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert abs(mass - 1) < 1e-12, (a, b)
+    # the float the symsum goldens were recorded with
+    assert psi.norm == 142.25037577709585
+    # the bump underflows to zero at every point of (1, 1.05)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        SmoothTestFunction(1.0, 1.05)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, ellgal, ellgal.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_sym2_prime_power_recursion_vs_power_series():
