@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import kronecker, least_nonresidue, primes_up_to, valuation
+from .arith import kronecker, primes_up_to
 
 
 class SingularModel(Exception):
@@ -89,51 +89,6 @@ def invariants(model: WeierstrassModel):
     return b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc)
 
 
-def _minimal_scaling(c4, c6, vdelta, p):
-    """Largest d with p^(4d) | c4, p^(6d) | c6 and 12d <= v_p(Delta) = vdelta: at p >= 5,
-    dividing c4 and c6 by p^(4d) and p^(6d) gives a p-minimal short model."""
-    d = vdelta // 12
-    if c4:
-        d = min(d, valuation(c4, p) // 4)
-    if c6:
-        d = min(d, valuation(c6, p) // 6)
-    return d
-
-
-def _local_short_model(model, p):
-    """For p >= 5: (c4', c6', v_p(Delta_min)) of a p-minimal model; E is then
-    y^2 = x^3 - 27 c4' x - 54 c6', minimal at p."""
-    c4, c6 = model.c_invariants()
-    vd = valuation(model.discriminant(), p)
-    d = _minimal_scaling(c4, c6, vd, p)
-    return c4 // p ** (4 * d), c6 // p ** (6 * d), vd - 12 * d
-
-
-def _sqrt_mod(a, p):
-    """Square root of a mod p (p odd prime, a a QR); Tonelli-Shanks."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    z = least_nonresidue(p)
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def _count_naive_23(model, p):
     n = 1
     a1, a2, a3, a4, a6 = [a % p for a in model.ainvs()]
@@ -176,9 +131,6 @@ def _ec_add(P, Q, A, p):
 
 
 def _ec_mul(n, P, A, p):
-    if n < 0:
-        n = -n
-        P = None if P is None else (P[0], (-P[1]) % p)
     R = None
     while n:
         if n & 1:
@@ -189,16 +141,18 @@ def _ec_mul(n, P, A, p):
 
 
 def _random_point(A, B, p, state):
+    """A point on y^2 = x^3 + A r^2 x + B r^3 for a random r = x^3 + Ax + B != 0.
+
+    (r x, r^2) lies on that curve, so no square root is taken; the curve is E
+    when (r|p) = 1 and its quadratic twist when (r|p) = -1.  Returns the point,
+    r, (r|p) and the generator's next state.
+    """
     while True:
         state = (state * 1103515245 + 12345) % (1 << 31)
         x = state % p
-        rhs = (x * x % p * x + A * x + B) % p
-        k = kronecker(rhs, p)
-        if k == -1:
-            continue
-        if k == 0:
-            return (x, 0), state
-        return (x, _sqrt_mod(rhs, p)), state
+        r = (x * x % p * x + A * x + B) % p
+        if r:
+            return (r * x % p, r * r % p), r, kronecker(r, p), state
 
 
 def _point_order(P, A, p, lo, hi):
@@ -264,18 +218,15 @@ def _count_bsgs(A, B, p):
     with a Cartier-Manin congruence to settle small-p ambiguity."""
     s = math.isqrt(4 * p) + 1
     lo, hi = p + 1 - s, p + 1 + s
-    # nonresidue for the quadratic twist y^2 = x^3 + A g^2 x + B g^3
-    g = least_nonresidue(p)
-    At, Bt = A * g * g % p, B * g**3 % p
     l_curve, l_twist = 1, 1
     state = (A * 2654435761 + B * 40503 + p) % (1 << 31) or 1
     for rounds in range(40):
-        if rounds % 2 == 0:
-            P, state = _random_point(A, B, p, state)
-            l_curve = math.lcm(l_curve, _point_order(P, A, p, lo, hi))
+        P, r, side, state = _random_point(A, B, p, state)
+        d = _point_order(P, A * r * r % p, p, lo, hi)
+        if side == 1:
+            l_curve = math.lcm(l_curve, d)
         else:
-            P, state = _random_point(At, Bt, p, state)
-            l_twist = math.lcm(l_twist, _point_order(P, At, p, lo, hi))
+            l_twist = math.lcm(l_twist, d)
         # #E = n needs l_curve | n and l_twist | 2p + 2 - n: step the larger modulus
         step, residue = (l_curve, 0) if l_curve >= l_twist else (l_twist, 2 * p + 2)
         cands = [
@@ -298,31 +249,31 @@ def _count_bsgs(A, B, p):
     raise RuntimeError(f"group order not pinned down at p={p}")
 
 
-def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int:
-    """Frobenius trace a_p = p + 1 - #E(F_p) at a prime of good reduction."""
-    if strategy not in ("auto", "naive", "bsgs"):
-        raise ValueError(f"unknown strategy {strategy!r}; expected auto, naive or bsgs")
-    if p in (2, 3):
-        disc = model.discriminant()
-        if disc % p != 0:
-            return p + 1 - _count_naive_23(model, p)
-        from . import localdata
-
-        loc = localdata.tate(model, p)
-        if loc.f != 0:
-            raise BadReduction(f"p={p} divides the minimal discriminant")
-        return p + 1 - _count_naive_23(loc.minimal_model, p)
-    c4m, c6m, vdmin = _local_short_model(model, p)
-    if vdmin != 0:
-        raise BadReduction(f"p={p} divides the minimal discriminant")
-    A, B = -27 * c4m, -54 * c6m
-    if strategy == "naive" or (strategy == "auto" and p < NAIVE_CROSSOVER):
+def _trace_good(model, A, B, p, strategy):
+    """a_p of `model` at a prime p of good reduction for it; at p >= 5 the count
+    is made on y^2 = x^3 + Ax + B, a model isomorphic to it over Z_(p)."""
+    if p < 5:
+        n = _count_naive_23(model, p)
+    elif strategy == "naive" or (strategy == "auto" and p < NAIVE_CROSSOVER):
         n = _count_naive_short(A, B, p)
     else:
         n = _count_bsgs(A % p, B % p, p)
     ap = p + 1 - n
     assert ap * ap <= 4 * p, f"Hasse-Weil violated at p={p}"
     return ap
+
+
+def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int:
+    """Frobenius trace a_p = p + 1 - #E(F_p) at a prime of good reduction."""
+    from . import localdata
+
+    if strategy not in ("auto", "naive", "bsgs"):
+        raise ValueError(f"unknown strategy {strategy!r}; expected auto, naive or bsgs")
+    loc = localdata.tate(model, p)
+    if loc.f != 0:
+        raise BadReduction(f"p={p} divides the minimal discriminant")
+    E = loc.minimal_model  # a short model at p >= 5
+    return _trace_good(E, E.a4, E.a6, p, strategy)
 
 
 @dataclass(frozen=True)
@@ -360,7 +311,10 @@ def trace_table(curve, X: int) -> TraceTable:
     for p, loc in red.locals.items():
         if p <= X:
             ram[p] = {"multSplit": 1, "multNonsplit": -1, "additive": 0}[loc.red_type]
-    good = {p: count_points(red.minimal_model, p) for p in primes_up_to(X) if p not in ram}
+    E = red.minimal_model
+    c4, c6 = E.c_invariants()
+    A, B = -27 * c4, -54 * c6
+    good = {p: _trace_good(E, A, B, p, "auto") for p in primes_up_to(X) if p not in ram}
     return TraceTable(model, X, good, ram)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .arith import kronecker, least_nonresidue, primes_up_to, smallest_prime_factors
 from .curve import SingularModel, WeierstrassModel, trace_table
 from .galois import pair_bound, pair_witness
-from .localdata import GlobalReduction, _tate_steps, _tate_table, global_reduce
+from .localdata import GlobalReduction, global_reduce, tate
 
 
 class CorpusFormatError(ValueError):
@@ -113,7 +113,7 @@ def ingest(path, fmt: str) -> Corpus:
                 if not isinstance(label, (str, type(None))):
                     rejects.append((rownum, "label is not a string"))
                     continue
-                add(rownum, fields, label)
+                add(rownum, fields, label and label.strip())
         else:
             raise ValueError(f"unknown format {fmt!r}")
     return Corpus(tuple(records), tuple(rejects))
@@ -298,7 +298,7 @@ def _census_family(D, tops, squarefree):
         """f_p of the twist by p^v * unit, whose p-adic class is unit mod 16, 27 or q."""
         key = (p, v % power, unit % (16 if p == 2 else 27 if p == 3 else p))
         if key not in memo:
-            memo[key] = (_tate_steps if p < 5 else _tate_table)(build(p**v * key[2]), p).f
+            memo[key] = tate(build(p**v * key[2]), p).f
         return memo[key]
 
     span = range(power)

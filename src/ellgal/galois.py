@@ -109,18 +109,12 @@ def _image_test_mod2(red: GlobalReduction, X: int) -> ImageReport:
 
 
 def _det_surjective(residues, ell):
-    seen = {1}
-    frontier = set(residues)
-    while frontier:
-        new = set()
-        for r in frontier:
-            for s in list(seen):
-                t = r * s % ell
-                if t not in seen:
-                    new.add(t)
-        seen |= new
-        frontier = new
-    return len(seen) == ell - 1
+    """Whether the residues generate (Z/ell)^*: for each prime q | ell - 1, some
+    residue must not be a q-th power, i.e. r^((ell-1)/q) != 1 mod ell."""
+    return all(
+        any(pow(r, (ell - 1) // q, ell) != 1 for r in residues)
+        for q in factorize(ell - 1).primes()
+    )
 
 
 def image_test(red: GlobalReduction, table: TraceTable, ell: int, X: int | None = None) -> ImageReport:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import factorize, kronecker, valuation
-from .curve import WeierstrassModel, _local_short_model, _minimal_scaling
+from .curve import WeierstrassModel
 
 
 class NotAdditivePotGood(Exception):
@@ -64,6 +64,26 @@ def _check_f_bound(p, f):
     limit = 8 if p == 2 else 5 if p == 3 else 2
     if f > limit:
         raise InvariantViolation(f"conductor exponent {f} at p={p} exceeds {limit}")
+
+
+def _minimal_scaling(c4, c6, vdelta, p):
+    """Largest d with p^(4d) | c4, p^(6d) | c6 and 12d <= v_p(Delta) = vdelta: at p >= 5,
+    dividing c4 and c6 by p^(4d) and p^(6d) gives a p-minimal short model."""
+    d = vdelta // 12
+    if c4:
+        d = min(d, valuation(c4, p) // 4)
+    if c6:
+        d = min(d, valuation(c6, p) // 6)
+    return d
+
+
+def _local_short_model(model, p):
+    """For p >= 5: (c4', c6', v_p(Delta_min)) of a p-minimal model; E is then
+    y^2 = x^3 - 27 c4' x - 54 c6', minimal at p."""
+    c4, c6 = model.c_invariants()
+    vd = valuation(model.discriminant(), p)
+    d = _minimal_scaling(c4, c6, vd, p)
+    return c4 // p ** (4 * d), c6 // p ** (6 * d), vd - 12 * d
 
 
 def _tate_table(model, p):

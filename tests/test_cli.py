@@ -127,6 +127,10 @@ def test_image_command(runner):
     res2 = _run(runner, ["image", "0,-1,1,-10,-20", "-l", "5", "-X", "500"])
     data2 = json.loads(res2.output)
     assert data2["obstruction"] == "reducible"
+    # (Z/ell)^* is too large to enumerate; whether the dets generate it is read off ell - 1
+    res3 = _run(runner, ["image", "0,0,1,-1,0", "-l", "1000003", "-X", "100"])
+    assert res3.exit_code == 0
+    assert json.loads(res3.output)["verdict"] == "surjective"
 
 
 def test_pair_command(runner):
@@ -186,7 +190,7 @@ def test_cm_census_command(runner):
     assert parsed["counts/0"] == 120
 
 
-def test_symsum_command(runner, small_corpus_csv):
+def test_symsum_command(runner, small_corpus_csv, tmp_path):
     res = _run(
         runner,
         ["symsum", str(small_corpus_csv), "--pair", "c0000,c0001", "-X", "200"],
@@ -195,6 +199,16 @@ def test_symsum_command(runner, small_corpus_csv):
     data = json.loads(res.output)
     assert set(data) >= {"S", "H", "labels", "coprimeTo"}
     assert data["S"] > 0
+    # JSON labels are stripped as CSV labels and --pair labels are
+    path = tmp_path / "pair.jsonl"
+    rows = [
+        {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": " w"},
+        {"a1": 0, "a2": 1, "a3": 1, "a4": -2, "a6": 0, "label": "v"},
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    res = _run(runner, ["symsum", str(path), "--pair", " w,v", "-X", "100"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["labels"] == ["w", "v"]
 
 
 def test_symsum_unknown_label(runner, small_corpus_csv):

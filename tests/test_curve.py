@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellgal.arith import kronecker, least_nonresidue, primes_up_to
@@ -14,17 +14,15 @@ from ellgal.curve import (
     _count_naive_short,
     _ec_add,
     _ec_mul,
-    _local_short_model,
     _point_order,
     _random_point,
-    _sqrt_mod,
     count_points,
     quadratic_twist,
     quartic_twist_model,
     sextic_twist_model,
     trace_table,
 )
-from ellgal.localdata import global_reduce
+from ellgal.localdata import global_reduce, tate
 
 E37 = WeierstrassModel(0, 0, 1, -1, 0)
 E11 = WeierstrassModel(0, -1, 1, -10, -20)
@@ -95,6 +93,20 @@ def test_bad_prime_raises():
         count_points(E11, 11)
 
 
+def test_count_points_on_models_inflated_at_small_primes():
+    # a_i * 30^i is not minimal at 2, 3 and 5, so tate must find the minimal
+    # model at every p, and the bad prime still raises
+    for model, bad in ((E37, 37), (E11, 11)):
+        weights = (1, 2, 3, 4, 6)
+        inflated = WeierstrassModel(*(a * 30**i for a, i in zip(model.ainvs(), weights)))
+        expected = trace_table(model, 13).good
+        for p in (2, 3, 5, 7, 11, 13):
+            if p != bad:
+                assert count_points(inflated, p) == expected[p], (model.ainvs(), p)
+        with pytest.raises(BadReduction):
+            count_points(inflated, bad)
+
+
 def test_naive_vs_bsgs_agree(corpus):
     rnd = random.Random(20240817)
     sample = rnd.sample(corpus.records, 12)
@@ -122,48 +134,71 @@ def test_bsgs_matches_naive_below_3000():
 
 
 def _curve_points(A, B, p):
-    points = []
-    for x in range(p):
-        rhs = (x * x * x + A * x + B) % p
-        if kronecker(rhs, p) != -1:
-            y = _sqrt_mod(rhs, p)
-            points += [(x, y), (x, -y % p)] if y else [(x, 0)]
-    return points
+    roots = {}  # z -> every y in F_p with y^2 = z
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
+    return [(x, y) for x in range(p) for y in roots.get((x * x * x + A * x + B) % p, [])]
 
 
 def test_point_order_contract():
     # _point_order returns a divisor d of #E(F_p) whose multiples in the Hasse
-    # window are exactly the n there with nP = 0; every point for p < 100,
-    # random ones above, on each curve and its quadratic twist
+    # window are exactly the n there with nP = 0; every point for p < 100 on
+    # each curve and its quadratic twist, eight random ones above from
+    # _random_point, which must land on both sides
     primes = [p for p in primes_up_to(100) if p >= 5] + [211, 1009, 2003, 4001, 10007, 65537]
     for model in ORACLE_CURVES:
         for p in primes:
-            c4, c6, vdmin = _local_short_model(model, p)
-            if vdmin:
+            loc = tate(model, p)
+            if loc.f:
                 continue
-            A, B = -27 * c4, -54 * c6
-            g = least_nonresidue(p)
+            A, B = loc.minimal_model.a4 % p, loc.minimal_model.a6 % p
             s = math.isqrt(4 * p) + 1
             lo, hi = p + 1 - s, p + 1 + s
-            for a, b in ((A % p, B % p), (A * g * g % p, B * g**3 % p)):
-                order = _count_naive_short(a, b, p)
-                if p < 100:
-                    points = _curve_points(a, b, p)
-                else:
-                    points, state = [], p
-                    for _ in range(6):
-                        P, state = _random_point(a, b, p, state)
-                        points.append(P)
-                for P in points:
-                    d = _point_order(P, a, p, lo, hi)
-                    assert order % d == 0, (model.ainvs(), p, P)
-                    killed = set()
-                    R = _ec_mul(lo, P, a, p)
-                    for n in range(lo, hi + 1):
-                        if R is None:
-                            killed.add(n)
-                        R = _ec_add(R, P, a, p)
-                    assert killed == set(range(lo + (-lo) % d, hi + 1, d)), (model.ainvs(), p, P)
+            if p < 100:
+                g = least_nonresidue(p)
+                curves = [(A, B), (A * g * g % p, B * g**3 % p)]
+                cases = [(a, b, P) for a, b in curves for P in _curve_points(a, b, p)]
+            else:
+                cases, sides, state = [], set(), p
+                for _ in range(8):
+                    P, r, side, state = _random_point(A, B, p, state)
+                    cases.append((A * r * r % p, B * r**3 % p, P))
+                    sides.add(side)
+                assert sides == {1, -1}, (model.ainvs(), p)
+            orders = {}
+            for a, b, P in cases:
+                if (a, b) not in orders:
+                    orders[a, b] = _count_naive_short(a, b, p)
+                d = _point_order(P, a, p, lo, hi)
+                assert orders[a, b] % d == 0, (model.ainvs(), p, P)
+                killed = set()
+                R = _ec_mul(lo, P, a, p)
+                for n in range(lo, hi + 1):
+                    if R is None:
+                        killed.add(n)
+                    R = _ec_add(R, P, a, p)
+                assert killed == set(range(lo + (-lo) % d, hi + 1, d)), (model.ainvs(), p, P)
+
+
+@given(
+    st.sampled_from([p for p in primes_up_to(400) if p >= 5]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=(1 << 31) - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_random_point_lies_on_curve_or_twist(p, A, B, state):
+    # the point drawn lies on y^2 = x^3 + A r^2 x + B r^3, which is E when
+    # (r|p) = 1 and its quadratic twist, of order 2p + 2 - #E, when (r|p) = -1
+    A, B = A % p, B % p
+    assume((4 * A**3 + 27 * B * B) % p)
+    n = _count_naive_short(A, B, p)
+    for _ in range(4):
+        (x, y), r, side, state = _random_point(A, B, p, state)
+        a, b = A * r * r % p, B * r**3 % p
+        assert r % p and side == kronecker(r, p)
+        assert (y * y - x * x * x - a * x - b) % p == 0
+        assert _count_naive_short(a, b, p) == (n if side == 1 else 2 * p + 2 - n)
 
 
 def test_bsgs_pinned_large_primes():

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 import ellgal.family as family
+import ellgal.localdata as localdata
 from ellgal.arith import kronecker, least_nonresidue
 from ellgal.curve import WeierstrassModel, trace_table
 from ellgal.family import (
@@ -62,21 +63,25 @@ def test_ingest_header_required(tmp_path):
 def test_ingest_json_lines(tmp_path):
     path = tmp_path / "curves.jsonl"
     rows = [
-        {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": "w"},
+        {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": " w"},
         {"a1": 0, "a2": 1, "a3": 1, "a4": -2, "a6": 0},
         {"broken": True},
         # int() would truncate -1.5 to -1 and read true as 1, both giving 37a
         {"a1": 0, "a2": 0, "a3": 1, "a4": -1.5, "a6": 0, "label": "float"},
         {"a1": 0, "a2": 0, "a3": True, "a4": -1, "a6": 0, "label": "bool"},
         {"a1": "0", "a2": "0", "a3": "1", "a4": "-1", "a6": "0", "label": "strings"},
+        # labels are stripped as in CSV: blank takes the row default, "w " repeats "w"
+        {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": " \t"},
+        {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": "w "},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     corpus = ingest(path, "jsonLines")
-    assert [r.label for r in corpus.records] == ["w", "row2", "strings"]
+    assert [r.label for r in corpus.records] == ["w", "row2", "strings", "row7"]
     assert corpus.rejects == (
         (3, "malformed JSON row"),
         (4, "non-integer coefficient"),
         (5, "non-integer coefficient"),
+        (8, "duplicate label 'w'"),
     )
     assert corpus.records[0].reduction.conductor == 37
 
@@ -221,10 +226,10 @@ def test_cm_census_rejects_f_q_that_varies_over_twists(monkeypatch):
     nonresidue = {build(q**v * least_nonresidue(q)) for v in (0, 1)}
 
     def tate(model, p):
-        loc = _tate_table(model, p)
+        loc = localdata.tate(model, p)
         return dataclasses.replace(loc, f=loc.f + 1) if p == q and model in nonresidue else loc
 
-    monkeypatch.setattr(family, "_tate_table", tate)
+    monkeypatch.setattr(family, "tate", tate)
     with pytest.raises(RuntimeError, match="f_q varies"):
         _census_family(D, [10**4], _squarefree_coprime6(100))
 

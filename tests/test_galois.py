@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from ellgal.galois import (
     InsufficientSamples,
     NoCommonWitness,
     NoWitnessBelow,
+    _det_surjective,
     comparison_bound,
     epsilon_candidates,
     image_test,
@@ -299,3 +301,35 @@ def test_det_surjectivity_checked():
     red, table = _red_and_table(E37)
     rep = image_test(red, table, 5)
     assert rep.certificates["detSurjective"] is True
+
+
+def _closure_generates(residues, ell):
+    """Whether the residues generate (Z/ell)^*, by closing {1} under multiplication."""
+    seen = {1}
+    frontier = set(residues)
+    while frontier:
+        new = set()
+        for r in frontier:
+            for s in list(seen):
+                t = r * s % ell
+                if t not in seen:
+                    new.add(t)
+        seen |= new
+        frontier = new
+    return len(seen) == ell - 1
+
+
+def test_det_surjective_matches_subgroup_closure():
+    rnd = random.Random(20261018)
+    outcomes = set()
+    for ell in primes_up_to(299):
+        if ell < 5:
+            continue
+        squares = {x * x % ell for x in range(1, ell)}
+        sets = [set(), squares, squares | {rnd.randrange(1, ell)}]
+        sets += [set(rnd.sample(range(1, ell), k)) for k in (1, 1, 2, 2, 3, 4)]
+        for residues in sets:
+            got = _det_surjective(residues, ell)
+            assert got == _closure_generates(residues, ell), (ell, sorted(residues))
+            outcomes.add(got)
+    assert outcomes == {True, False}
