@@ -69,10 +69,36 @@ def _guarded(fn):
     return wrapper
 
 
+class _UsageReject(click.ClickException):
+    """A click usage error, which rejects the input like ParseReject does."""
+
+    exit_code = 1
+
+    def show(self, file=None):
+        click.echo(f"parse error: {' '.join(self.message.split())}", err=True)
+
+
+class _Main(click.Group):
+    """Turns click's usage errors (bad or missing parameters, unknown options or
+    commands, no command) into a one-line parse error with exit code 1."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        try:
+            return super().make_context(info_name, args, parent=parent, **extra)
+        except click.UsageError as exc:
+            raise _UsageReject(exc.format_message()) from exc
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            raise _UsageReject(exc.format_message()) from exc
+
+
 fmt_option = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 
 
-@click.group()
+@click.group(cls=_Main, no_args_is_help=False)
 def main():
     """Arithmetic of elliptic curves over Q: reduction, traces, mod-ell images."""
 

@@ -66,6 +66,19 @@ def test_parse_reject_exit_code_1(runner, tmp_path, small_corpus_csv):
         ["pairs", corpus, "-X", "100", "--sample", "0"],
     ]
     rejected += [["symsum", corpus, "--pair", "c0000,c0001", "-X", x] for x in ("-5", "0", "nan")]
+    # click's own usage errors: a bad or missing parameter, an unknown option
+    # or command, a path that does not exist, no command at all
+    rejected += [
+        ["tate", "0,0,1,-1,0", "-p", "abc"],
+        ["ap", "0,0,1,-1,0"],
+        ["family", "/nonexistent", "-N", "10"],
+        ["ap", "0,0,1,-1,0", "-X", "10", "--bogus"],
+        ["ap", "0,0,1,-1,0", "-X", "10", "extra"],
+        ["tate", "0,0,1,-1,0", "-p", "37", "--format", "xml"],
+        [],
+        ["bogus"],
+        ["--bogus"],
+    ]
     # bounds below 2 leave no prime to look at
     for x in ("1", "0", "-3"):
         rejected += [
@@ -80,6 +93,12 @@ def test_parse_reject_exit_code_1(runner, tmp_path, small_corpus_csv):
         assert res.exit_code == 1, args
         assert isinstance(res.exception, SystemExit), args  # no traceback escaped
         assert res.stderr.startswith("parse error:") and res.stderr.count("\n") == 1, args
+
+
+def test_help_exits_0(runner):
+    for args in (["--help"], ["ap", "--help"]):
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 0 and res.output.startswith("Usage:"), args
 
 
 def test_family_rejects_non_string_json_labels(runner, tmp_path):
@@ -278,6 +297,8 @@ def test_bsgs_order_not_pinned_exit_code_2(runner, monkeypatch):
 
     monkeypatch.setattr(curve, "NAIVE_CROSSOVER", 700)
     monkeypatch.setattr(curve, "_point_order", lambda P, A, p, lo, hi: 1)
+    # the batched lanes would pin p = 701 on their own: leave every one to _count_bsgs
+    monkeypatch.setattr(curve, "_count_bsgs_batch", lambda A, B, primes: {})
     res = runner.invoke(cli.main, ["ap", "0,0,1,-1,0", "-X", "710"])
     _assert_internal_failure(res, "group order not pinned down at p=701")
 

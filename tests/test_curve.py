@@ -1,16 +1,21 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellgal.arith import kronecker, least_nonresidue, primes_up_to
+import ellgal.curve as curve
+from ellgal.arith import is_prime, kronecker, least_nonresidue, primes_up_to
 from ellgal.curve import (
+    LANE_LIMIT,
     NAIVE_CROSSOVER,
     BadReduction,
     SingularModel,
     WeierstrassModel,
+    _count_bsgs,
+    _count_bsgs_batch,
     _count_naive_short,
     _ec_add,
     _ec_mul,
@@ -248,6 +253,87 @@ def test_routes_agree_around_naive_crossover(corpus):
             auto = count_points(model, p)
             assert auto == count_points(model, p, strategy="naive"), (rec.label, p)
             assert auto == count_points(model, p, strategy="bsgs"), (rec.label, p)
+
+
+def _short(model):
+    c4, c6 = model.c_invariants()
+    return -27 * c4, -54 * c6
+
+
+def test_batched_bsgs_matches_naive_and_scalar_below_3000():
+    # the j = 0 and j = 1728 curves give the lanes small point orders, two
+    # annihilators and x = 0 differences; those lanes must be left out
+    for model in ORACLE_CURVES:
+        A, B = _short(model)
+        disc = model.discriminant()
+        primes = [p for p in primes_up_to(3000) if p >= 5 and disc % p]
+        counts = _count_bsgs_batch(A, B, primes)
+        assert len(counts) > len(primes) // 2, model.ainvs()
+        for p, n in counts.items():
+            assert n == _count_naive_short(A, B, p) == _count_bsgs(A % p, B % p, p), (
+                model.ainvs(),
+                p,
+            )
+
+
+def test_batched_bsgs_exact_near_int64_bound():
+    # products of two residues come within 1% of 2^63 just below LANE_LIMIT
+    assert (LANE_LIMIT - 1) ** 2 < 2**63
+    rng = random.Random(20251018)
+    primes = set()
+    for lo, hi, count in ((10**9, 2 * 10**9, 20), (LANE_LIMIT - 10**7, LANE_LIMIT, 4)):
+        band = set()
+        while len(band) < count:
+            band.add(next(q for q in range(rng.randrange(lo, hi), hi) if is_prime(q)))
+        primes |= band
+    for model in (E37, E389):
+        A, B = _short(model)
+        counts = _count_bsgs_batch(A, B, sorted(primes))
+        assert len(counts) >= len(primes) - 2, model.ainvs()
+        for p, n in counts.items():
+            assert n == _count_bsgs(A % p, B % p, p), (model.ainvs(), p)
+
+
+def test_batch_never_takes_a_prime_at_or_above_lane_limit(monkeypatch):
+    seen = []
+    lanes = curve._count_bsgs_lanes
+
+    def recording(A, B, primes):
+        seen.extend(primes)
+        return lanes(A, B, primes)
+
+    monkeypatch.setattr(curve, "_count_bsgs_lanes", recording)
+    big = next(q for q in range(LANE_LIMIT, LANE_LIMIT + 1000) if is_prime(q))
+    below = next(q for q in range(LANE_LIMIT - 1, 0, -1) if is_prime(q))
+    A, B = _short(E37)
+    counts = _count_bsgs_batch(A, B, [10007, below, big])
+    assert sorted(seen) == [10007, below] and big not in counts
+    assert counts[10007] == _count_naive_short(A, B, 10007)
+
+
+def test_trace_table_batched_matches_scalar_bsgs(monkeypatch):
+    tables = {model: trace_table(model, 20001) for model in (E37, E389)}
+    for model, table in tables.items():
+        for p, ap in table.good.items():
+            assert ap == count_points(model, p, strategy="bsgs"), (model.ainvs(), p)
+    # every lane left to the scalar route: the same tables
+    monkeypatch.setattr(curve, "_count_bsgs_batch", lambda A, B, primes: {})
+    for model, table in tables.items():
+        assert trace_table(model, 20001) == table
+
+
+def test_trace_table_memory_is_bounded_by_the_pass_size():
+    # one pass of 512 lanes holds ~40 residues per lane at these primes; the
+    # 1,345 lanes of 15 bits in one pass would take the peak above 2 MB
+    trace_table(E37, 2000)
+    tracemalloc.start()
+    try:
+        table = trace_table(E37, 30000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.good) == 3244
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_unknown_strategy_rejected():
