@@ -17,7 +17,9 @@ class PreconditionFailed(Exception):
 
 
 class InvariantViolation(Exception):
-    """A conductor-exponent bound failed; the CLI maps this to exit code 2."""
+    """An exact invariant of the reduction failed: a conductor-exponent bound, the
+    additive radical against the conductor, an impossible valuation pair at p >= 5,
+    or Tate's step 11 reached on a p-minimal model. The CLI maps this to exit code 2."""
 
 
 _BIG = 10**9
@@ -30,7 +32,7 @@ def _vv(n, p):
 def _exact_div(n, d):
     q, r = divmod(n, d)
     if r:
-        raise RuntimeError(f"expected {d} | {n} in Tate step")
+        raise RuntimeError(f"expected {d} | {n}")
     return q
 
 
@@ -66,15 +68,37 @@ def _check_f_bound(p, f):
         raise InvariantViolation(f"conductor exponent {f} at p={p} exceeds {limit}")
 
 
+def _kraus(c4, c6, p):
+    """Kraus's condition at p for c4, c6 to be the invariants of an integral model
+    (Manuscripta Math. 63, 1989); it always holds at p >= 5."""
+    if p == 2:
+        return c6 % 4 == 3 or (c4 % 16 == 0 and c6 % 32 in (0, 8))
+    return p > 3 or c6 % 27 not in (9, 18)
+
+
 def _minimal_scaling(c4, c6, vdelta, p):
-    """Largest d with p^(4d) | c4, p^(6d) | c6 and 12d <= v_p(Delta) = vdelta: at p >= 5,
-    dividing c4 and c6 by p^(4d) and p^(6d) gives a p-minimal short model."""
+    """The d for which c4 / p^(4d) and c6 / p^(6d) are the invariants of a p-minimal
+    model: the largest d with p^(4d) | c4, p^(6d) | c6, 12d <= v_p(Delta) = vdelta
+    and Kraus's condition at p. This is the one rule that decides minimality."""
     d = vdelta // 12
     if c4:
         d = min(d, valuation(c4, p) // 4)
     if c6:
         d = min(d, valuation(c6, p) // 6)
+    while d and not _kraus(c4 // p ** (4 * d), c6 // p ** (6 * d), p):
+        d -= 1
     return d
+
+
+def _connell(c4, c6):
+    """The reduced model (a1, a3 in {0, 1}, a2 in {-1, 0, 1}) with invariants c4, c6,
+    integral when Kraus's condition holds at 2 and 3 (Connell; Cremona, Algorithms
+    for Modular Elliptic Curves, 3.2)."""
+    b2 = (5 - c6) % 12 - 5  # -c6 mod 12, in [-5, 6]
+    b4 = _exact_div(b2 * b2 - c4, 24)
+    b6 = _exact_div(-(b2**3) + 36 * b2 * b4 - c6, 216)
+    a1, a3 = b2 % 2, b6 % 2
+    return WeierstrassModel(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
 
 
 def _local_short_model(model, p):
@@ -141,120 +165,105 @@ def _cubic_root_mults(coeffs, p):
     return mults
 
 
-def _quad_has_root(b, c, p):
-    """Whether T^2 + bT + c has a root in F_p (brute force, p tiny)."""
-    return any((t * t + b * t + c) % p == 0 for t in range(p))
-
-
-def _move_singular_point(E, p):
-    for r in range(p):
-        for t in range(p):
-            F = E.transform(r=r, t=t)
-            if F.a3 % p == 0 and F.a4 % p == 0 and F.a6 % p == 0:
-                return F
-    raise RuntimeError(f"no rational singular point found mod {p}")
-
-
-def _step6_normalize(E, p):
-    for s in range(p):
-        for rk in range(p):
-            for t in range(p * p):
-                F = E.transform(r=rk * p, s=s, t=t)
-                if (
-                    F.a1 % p == 0
-                    and F.a2 % p == 0
-                    and F.a3 % (p * p) == 0
-                    and F.a4 % (p * p) == 0
-                    and F.a6 % (p**3) == 0
-                ):
-                    return F
-    raise RuntimeError(f"Tate step-6 normalization failed at p={p}")
+def _singular_point(E, p):
+    """(r, t) that move the singular point of E mod p to (0, 0), in closed form
+    (Cremona 3.2; Cohen, GTM 138, Alg. 7.5.1)."""
+    a1, a2, a3, a4, a6 = E.ainvs()
+    b2, b4, b6, _ = E.b_invariants()
+    if p == 2:
+        if b2 % 2 == 0:
+            return a4 % 2, (a4 * (1 + a2 + a4) + a6) % 2
+        return a3 % 2, (a3 + a4) % 2
+    if p == 3:
+        r = -b6 if b2 % 3 == 0 else -b2 * b4
+        return r % 3, (a1 * r + a3) % 3
+    c4, c6 = E.c_invariants()  # p >= 5, reached only by the tests' oracle
+    r = -b2 * pow(12, -1, p) if c4 % p == 0 else -(c6 + b2 * c4) * pow(12 * c4, -1, p)
+    return r % p, -(a1 * r + a3) * pow(2, -1, p) % p
 
 
 def _tate_steps(model, p):
-    """Full step-by-step Tate algorithm; valid at any p, used in production for p = 2, 3.
+    """Step-by-step Tate algorithm; valid at any p, used in production for p = 2, 3.
 
-    Each rescaling by u = p lowers v_p(Delta) by 12, so the loop ends at a p-minimal model.
+    `_minimal_scaling` gives the p-minimal model (Connell's, when `model` is not
+    p-minimal), and every coordinate move is read off the a-invariants, so the steps
+    only classify: reaching step 11 is an invariant violation.
     """
+    c4, c6 = model.c_invariants()
+    vd = valuation(model.discriminant(), p)
     base = model
-    while True:
-        disc = base.discriminant()
-        if disc % p != 0:
-            return LocalReduction(p, "I0", 0, 0, "good", True, base)
-        vd = valuation(disc, p)
-        c4, _ = base.c_invariants()
-        pot_good = 3 * _vv(c4, p) >= vd
+    d = _minimal_scaling(c4, c6, vd, p)
+    if d:
+        c4, c6, vd = c4 // p ** (4 * d), c6 // p ** (6 * d), vd - 12 * d
+        base = _connell(c4, c6)
+    if vd == 0:
+        return LocalReduction(p, "I0", 0, 0, "good", True, base)
+    pot_good = 3 * _vv(c4, p) >= vd
 
-        E = _move_singular_point(base, p)
-        b2, b4, b6, b8 = E.b_invariants()
-        if b2 % p != 0:
-            # multiplicative: node with tangent directions T^2 + a1 T - a2
-            split = _quad_has_root(E.a1 % p, (-E.a2) % p, p)
-            red = "multSplit" if split else "multNonsplit"
-            return LocalReduction(p, f"I{vd}", 1, vd, red, False, base)
-        if _vv(E.a6, p) < 2:
-            return LocalReduction(p, "II", vd, vd, "additive", pot_good, base)
-        if _vv(b8, p) < 3:
-            return LocalReduction(p, "III", vd - 1, vd, "additive", pot_good, base)
-        if _vv(b6, p) < 3:
-            return LocalReduction(p, "IV", vd - 2, vd, "additive", pot_good, base)
-        E = _step6_normalize(E, p)
-        # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + a6/p^3 over F_p
-        c2 = _exact_div(E.a2, p)
-        c1 = _exact_div(E.a4, p * p)
-        c0 = _exact_div(E.a6, p**3)
-        mults = _cubic_root_mults([1, c2, c1, c0], p)
-        mmax = max(mults.values(), default=1)
-        if mmax == 1:
-            return LocalReduction(p, "I0*", vd - 4, vd, "additive", pot_good, base)
-        root = max(t for t, k in mults.items() if k == mmax)
-        if mmax == 2:
-            # type I_n* sub-procedure: shift the double root to T = 0
-            E = E.transform(r=p * root)
-            n = 1
-            mx = my = p * p
-            while True:
-                a3t = _exact_div(E.a3, my)
-                a6t = _exact_div(E.a6, mx * my)
-                if (a3t * a3t + 4 * a6t) % p != 0:
-                    break
-                if p == 2:
-                    y0 = a6t % 2
-                else:
-                    y0 = (-a3t * pow(2, -1, p)) % p
-                E = E.transform(t=my * y0)
-                my *= p
-                n += 1
-                a2t = _exact_div(E.a2, p)
-                a4t = _exact_div(E.a4, p * mx)
-                a6t = _exact_div(E.a6, mx * my)
-                if (a4t * a4t - 4 * a2t * a6t) % p != 0:
-                    break
-                if p == 2:
-                    x0 = (a6t * pow(a2t, -1, 2)) % 2
-                else:
-                    x0 = (-a4t * pow(2 * a2t, -1, p)) % p
-                E = E.transform(r=mx * x0)
-                mx *= p
-                n += 1
-            return LocalReduction(p, f"I{n}*", vd - 4 - n, vd, "additive", pot_good, base)
-        # triple root: shift to T = 0, then steps 8-10
+    r, t = _singular_point(base, p)
+    E = base.transform(r=r, t=t)
+    b2, b4, b6, b8 = E.b_invariants()
+    if b2 % p != 0:
+        # multiplicative: node with tangent directions T^2 + a1 T - a2, of discriminant b2
+        red = "multSplit" if kronecker(b2, p) == 1 else "multNonsplit"
+        return LocalReduction(p, f"I{vd}", 1, vd, red, False, base)
+    if _vv(E.a6, p) < 2:
+        return LocalReduction(p, "II", vd, vd, "additive", pot_good, base)
+    if _vv(b8, p) < 3:
+        return LocalReduction(p, "III", vd - 1, vd, "additive", pot_good, base)
+    if _vv(b6, p) < 3:
+        return LocalReduction(p, "IV", vd - 2, vd, "additive", pot_good, base)
+    # p | a1, a2; p^2 | a3, a4; p^3 | a6
+    if p == 2:
+        E = E.transform(s=E.a2 % 2, t=2 * (E.a6 // 4 % 2))
+    else:
+        E = E.transform(s=-E.a1 * pow(2, -1, p) % p, t=-E.a3 * pow(2, -1, p * p) % (p * p))
+    # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + a6/p^3 over F_p
+    c2 = _exact_div(E.a2, p)
+    c1 = _exact_div(E.a4, p * p)
+    c0 = _exact_div(E.a6, p**3)
+    mults = _cubic_root_mults([1, c2, c1, c0], p)
+    mmax = max(mults.values(), default=1)
+    if mmax == 1:
+        return LocalReduction(p, "I0*", vd - 4, vd, "additive", pot_good, base)
+    root = max(t for t, k in mults.items() if k == mmax)
+    if mmax == 2:
+        # type I_n* sub-procedure: shift the double root to T = 0
         E = E.transform(r=p * root)
-        a3t = _exact_div(E.a3, p * p)
-        a6t = _exact_div(E.a6, p**4)
-        if (a3t * a3t + 4 * a6t) % p != 0:
-            return LocalReduction(p, "IV*", vd - 6, vd, "additive", pot_good, base)
-        if p == 2:
-            y0 = a6t % 2
-        else:
-            y0 = (-a3t * pow(2, -1, p)) % p
-        E = E.transform(t=p * p * y0)
-        if _vv(E.a4, p) < 4:
-            return LocalReduction(p, "III*", vd - 7, vd, "additive", pot_good, base)
-        if _vv(E.a6, p) < 6:
-            return LocalReduction(p, "II*", vd - 8, vd, "additive", pot_good, base)
-        # non-minimal: rescale by u = p and start over
-        base = E.transform(u=p)
+        n = 1
+        mx = my = p * p
+        while True:
+            a3t = _exact_div(E.a3, my)
+            a6t = _exact_div(E.a6, mx * my)
+            if (a3t * a3t + 4 * a6t) % p != 0:
+                break
+            y0 = a6t % 2 if p == 2 else -a3t * pow(2, -1, p) % p
+            E = E.transform(t=my * y0)
+            my *= p
+            n += 1
+            a2t = _exact_div(E.a2, p)
+            a4t = _exact_div(E.a4, p * mx)
+            a6t = _exact_div(E.a6, mx * my)
+            if (a4t * a4t - 4 * a2t * a6t) % p != 0:
+                break
+            x0 = a6t * pow(a2t, -1, 2) % 2 if p == 2 else -a4t * pow(2 * a2t, -1, p) % p
+            E = E.transform(r=mx * x0)
+            mx *= p
+            n += 1
+        return LocalReduction(p, f"I{n}*", vd - 4 - n, vd, "additive", pot_good, base)
+    # triple root: shift to T = 0, then steps 8-10
+    E = E.transform(r=p * root)
+    a3t = _exact_div(E.a3, p * p)
+    a6t = _exact_div(E.a6, p**4)
+    if (a3t * a3t + 4 * a6t) % p != 0:
+        return LocalReduction(p, "IV*", vd - 6, vd, "additive", pot_good, base)
+    y0 = a6t % 2 if p == 2 else -a3t * pow(2, -1, p) % p
+    E = E.transform(t=p * p * y0)
+    if _vv(E.a4, p) < 4:
+        return LocalReduction(p, "III*", vd - 7, vd, "additive", pot_good, base)
+    if _vv(E.a6, p) < 6:
+        return LocalReduction(p, "II*", vd - 8, vd, "additive", pot_good, base)
+    raise InvariantViolation(f"Tate's algorithm reached step 11 at p={p} on a p-minimal model")
 
 
 def tate(model: WeierstrassModel, p: int) -> LocalReduction:
@@ -293,13 +302,6 @@ def potential_goodness(local: LocalReduction) -> bool:
     return local.pot_good
 
 
-def _reduce_model(E: WeierstrassModel) -> WeierstrassModel:
-    """Canonical form: a1, a3 in {0, 1} and a2 in {-1, 0, 1}."""
-    E = E.transform(s=-(E.a1 // 2))
-    E = E.transform(r=-((E.a2 + 1) // 3))
-    return E.transform(t=-(E.a3 // 2))
-
-
 def global_reduce(model: WeierstrassModel) -> GlobalReduction:
     """Globally minimal model, conductor, and the per-prime reduction map."""
     c4, c6 = model.c_invariants()
@@ -307,12 +309,8 @@ def global_reduce(model: WeierstrassModel) -> GlobalReduction:
     disc_primes = [p for p, _ in factorize(abs(disc)).factors]
     u = 1
     for p in disc_primes:
-        if p >= 5:
-            u *= p ** _minimal_scaling(c4, c6, valuation(disc, p), p)
-    E = WeierstrassModel(0, 0, 0, -27 * (c4 // u**4), -54 * (c6 // u**6))
-    E = _tate_steps(E, 2).minimal_model
-    E = _tate_steps(E, 3).minimal_model
-    E = _reduce_model(E)
+        u *= p ** _minimal_scaling(c4, c6, valuation(disc, p), p)
+    E = _connell(c4 // u**4, c6 // u**6)
 
     locs = {}
     dmin = E.discriminant()

@@ -2,8 +2,11 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellgal.cli as cli
+import ellgal.localdata as localdata
 from ellgal.family import report_parse_csv
 
 
@@ -129,6 +132,63 @@ def test_invariant_violation_exit_code_2(runner, monkeypatch):
     monkeypatch.setattr(cli, "tate", boom)
     res = runner.invoke(cli.main, ["tate", "0,0,1,-1,0", "-p", "37"])
     assert res.exit_code == 2
+
+
+def test_under_scaled_model_is_an_invariant_violation(runner, monkeypatch):
+    # a minimality rule that stops one step short at 2 leaves Tate's steps at
+    # step 11, which fails hard; the steps never rescale and start over
+    scaling = localdata._minimal_scaling
+
+    def short_at_2(c4, c6, vdelta, p):
+        return max(scaling(c4, c6, vdelta, p) - (p == 2), 0)
+
+    monkeypatch.setattr(localdata, "_minimal_scaling", short_at_2)
+    scaled = "0,0,8,-16,0"  # 37a with u = 2, not minimal at 2
+    with pytest.raises(localdata.InvariantViolation, match="step 11"):
+        localdata.tate(cli._parse_curve(scaled), 2)
+    res = runner.invoke(cli.main, ["tate", scaled, "-p", "2"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.startswith("invariant violation:") and res.stderr.count("\n") == 1
+
+
+# argv pieces for `ellgal tate`: integers of every size, also with signs, underscores
+# and non-ASCII digits (int() reads them all), floats, blanks and stray text; -p as
+# a prime, a composite, a negative number or a non-number
+_INTEGER = st.one_of(
+    st.integers(min_value=-20, max_value=20).map(str),
+    st.integers(min_value=-(10**60), max_value=10**60).map(str),
+    st.sampled_from(["+3", "1_6", "64", "-4096", "729", "\u0663", "\uff11\uff16"]),
+)
+_FIELD = st.one_of(
+    _INTEGER,
+    st.floats().map(str),
+    st.sampled_from(["", " ", "\u00a0", "0x10"]),
+    st.text(alphabet="0123456789-+.e \u0663", max_size=5),
+)
+_CURVE = st.one_of(
+    st.lists(_INTEGER, min_size=5, max_size=5),
+    st.lists(_FIELD, min_size=4, max_size=6),
+).map(",".join)
+_PRIME = st.one_of(
+    st.sampled_from(["2", "3", "37", "1000000007", str(2**127 - 1), "\u0663"]),
+    st.sampled_from(["4", "91", "1", "0", str(2**64 + 1), "-2", "-37", "abc", "2.0", ""]),
+    st.integers(min_value=-10, max_value=10**6).map(str),
+)
+
+
+@given(_CURVE, _PRIME, st.sampled_from(["json", "csv"]))
+@settings(max_examples=150, deadline=None)
+def test_tate_argv_fuzz(curve, prime, fmt):
+    res = CliRunner().invoke(cli.main, ["tate", curve, "-p", prime, "--format", fmt])
+    assert res.exit_code in (0, 1), (curve, prime, res.stderr)
+    assert res.exception is None or isinstance(res.exception, SystemExit)  # no traceback
+    if res.exit_code == 1:
+        assert res.stdout == ""
+        assert res.stderr.startswith("parse error:") and res.stderr.count("\n") == 1
+    elif fmt == "json":
+        assert json.loads(res.stdout)["p"] == int(prime)
+    else:
+        assert report_parse_csv(res.stdout.encode())["p"] == int(prime)
 
 
 def test_ap_command(runner):

@@ -24,7 +24,8 @@ from ellgal.family import (
     report_parse_csv,
     validate_cm_bases,
 )
-from ellgal.localdata import _tate_steps, _tate_table, global_reduce
+from ellgal.localdata import _tate_table, global_reduce
+from tate_reference import _tate_steps
 
 # census counts verified against a direct enumeration of every admissible twist
 # parameter with globalReduce computing each conductor (no memoization)
@@ -264,7 +265,8 @@ def test_cm_census_memo_agrees_with_global_reduce():
 class _ExponentOracle:
     """Conductor exponents of one family's twists at 2, 3 and the base's bad primes
     q >= 5, built without the census code and memoized as an earlier census design
-    keyed them: f_2 and f_3 on (p, v mod power, sign * unit mod 16 or 27) of the
+    keyed them: f_2 and f_3 from the reference Tate search (tests/tate_reference.py),
+    on (p, v mod power, sign * unit mod 16 or 27) of the
     models y^2 = x^3 + dx, y^2 = x^3 + d or the quadratic twist, and f_q on
     (q, v_q(d), chi_q(d / q^v))."""
 

@@ -1,13 +1,19 @@
+import itertools
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellgal.family as family
+import ellgal.localdata as localdata
 from ellgal.arith import factorize, valuation
 from ellgal.curve import SingularModel, WeierstrassModel, quadratic_twist
 from ellgal.localdata import (
     InvariantViolation,
     NotAdditivePotGood,
     _check_f_bound,
+    _connell,
     _tate_steps,
     _tate_table,
     global_reduce,
@@ -16,6 +22,7 @@ from ellgal.localdata import (
     potential_goodness,
     tate,
 )
+from tate_reference import _tate_steps as reference_tate_steps
 
 # reduced minimal a-invariants -> (conductor, {p: (kodaira, f)})
 KNOWN = {
@@ -59,8 +66,6 @@ def test_global_reduce_minimizes_and_reduces():
 
 
 def test_global_reduce_factors_discriminant_once(monkeypatch):
-    import ellgal.localdata as localdata
-
     calls = []
     original = localdata.factorize
 
@@ -79,6 +84,48 @@ def test_global_reduce_idempotent(corpus):
         again = global_reduce(rec.reduction.minimal_model)
         assert again.minimal_model.ainvs() == rec.reduction.minimal_model.ainvs()
         assert again.conductor == rec.reduction.conductor
+
+
+def test_global_reduce_makes_no_rescaling_round(corpus, monkeypatch):
+    # the minimal model is one scaling of (c4, c6) away, built by Connell's
+    # construction: no change of variables with u != 1 anywhere, and no Tate run
+    # called by global_reduce itself (only tate's classifying runs at bad primes)
+    counts = {"rescale": 0, "minimising_steps": 0, "steps": 0}
+    transform, steps = WeierstrassModel.transform, localdata._tate_steps
+
+    def counting_transform(self, u=1, r=0, s=0, t=0):
+        counts["rescale"] += u != 1
+        return transform(self, u, r, s, t)
+
+    def counting_steps(model, p):
+        counts["steps"] += 1
+        counts["minimising_steps"] += sys._getframe(1).f_code.co_name == "global_reduce"
+        return steps(model, p)
+
+    monkeypatch.setattr(WeierstrassModel, "transform", counting_transform)
+    monkeypatch.setattr(localdata, "_tate_steps", counting_steps)
+    for rec in corpus.records:
+        assert global_reduce(rec.model).conductor == rec.reduction.conductor
+    big = WeierstrassModel(0, 0, 6**3, -(6**4), 0)  # 37a with u = 6
+    assert global_reduce(big).minimal_model.ainvs() == (0, 0, 1, -1, 0)
+    for D in family.CM_BASES:
+        power, build, _ = family._family(D)
+        for sign, a, b in itertools.product((1, -1), range(power), range(power)):
+            global_reduce(build(sign * 2**a * 3**b * 35))
+    family.cm_census(10**5)
+    assert counts["steps"] > 0  # the counters saw the runs
+    assert (counts["rescale"], counts["minimising_steps"]) == (0, 0)
+
+
+def test_connell_gives_back_c4_c6_as_a_reduced_model(corpus):
+    # integral c-invariants that pass Kraus's test, non-minimal ones included
+    for rec in corpus.records[::11]:
+        c4, c6 = rec.reduction.minimal_model.c_invariants()
+        assert _connell(c4, c6) == rec.reduction.minimal_model  # the one reduced model
+        for k in (2, 3, 6, 10):
+            E = _connell(k**4 * c4, k**6 * c6)
+            assert E.c_invariants() == (k**4 * c4, k**6 * c6), (rec.label, k)
+            assert E.a1 in (0, 1) and E.a3 in (0, 1) and E.a2 in (-1, 0, 1)
 
 
 def test_reduced_form_normalization(corpus):
@@ -158,7 +205,7 @@ def test_table_and_steps_agree_at_small_primes(corpus):
         red = rec.reduction
         for p, loc in red.locals.items():
             if p < 5 or p > 13:
-                continue  # the step route brute-forces residues; keep p small
+                continue  # the steps count the cubic's roots by brute force; keep p small
             steps = _tate_steps(red.minimal_model, p)
             assert (steps.kodaira, steps.f, steps.v_delta_min) == (
                 loc.kodaira,
@@ -274,6 +321,29 @@ def test_reduction_data_invariant_under_integral_changes(corpus, index, r, s, t,
     for p in set(rec.reduction.locals) | set(factorize(k).primes()):
         loc, ref = tate(moved, p), tate(rec.model, p)
         assert (loc.kodaira, loc.f) == (ref.kodaira, ref.f), p
+
+
+def _classification(loc):
+    return loc.kodaira, loc.f, loc.v_delta_min, loc.red_type, loc.pot_good
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=15),
+)
+@settings(max_examples=60, deadline=None)
+def test_tate_at_2_and_3_agrees_with_the_reference_search(corpus, index, r, s, t, k):
+    # Kraus's minimality rule and the closed-form moves against the (r, s, t)
+    # search with rescale-and-restart that they replaced, on moved and scaled models
+    rec = corpus.records[index % len(corpus.records)]
+    moved = _scaled_up(rec.model.transform(r=r, s=s, t=t), k)
+    for p in (2, 3):
+        loc, ref = tate(moved, p), reference_tate_steps(moved, p)
+        assert _classification(loc) == _classification(ref), (rec.label, p)
+        assert loc.minimal_model.c_invariants() == ref.minimal_model.c_invariants()
 
 
 @given(
