@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from fractions import Fraction
@@ -49,50 +50,41 @@ def _emit(data, fmt):
     sys.stdout.buffer.write(familymod.report_emit(data, fmt))
 
 
-def _guarded(fn):
-    """Shared exit-code policy: 1 for parse rejects, 2 for internal failures."""
-
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ParseReject as exc:
-            click.echo(f"parse error: {exc}", err=True)
-            sys.exit(1)
-        except InvariantViolation as exc:
-            click.echo(f"invariant violation: {exc}", err=True)
-            sys.exit(2)
-        except (IncompleteFactorization, RuntimeError) as exc:
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(2)
-
-    wrapper.__name__ = fn.__name__
-    return wrapper
+def _fail(exit_code, kind, message):
+    """Exit with one stderr line, `<kind>: <message>`."""
+    click.echo(f"{kind}: {' '.join(message.splitlines())}", err=True)
+    sys.exit(exit_code)
 
 
-class _UsageReject(click.ClickException):
-    """A click usage error, which rejects the input like ParseReject does."""
-
-    exit_code = 1
-
-    def show(self, file=None):
-        click.echo(f"parse error: {' '.join(self.message.split())}", err=True)
+@contextlib.contextmanager
+def _exit_policy():
+    """The one exit-code policy: 1 for a rejected input (ours or one of click's usage
+    errors), 2 for an internal failure, each with one line on stderr."""
+    try:
+        yield
+    except (click.exceptions.Exit, click.Abort):
+        raise  # RuntimeErrors of click's own (--help, an abort) that click handles
+    except click.UsageError as exc:
+        _fail(1, "parse error", exc.format_message())
+    except ParseReject as exc:
+        _fail(1, "parse error", str(exc))
+    except InvariantViolation as exc:
+        _fail(2, "invariant violation", str(exc))
+    except (IncompleteFactorization, RuntimeError, MemoryError, OverflowError) as exc:
+        _fail(2, "internal error", f"{type(exc).__name__}: {exc}")
 
 
 class _Main(click.Group):
-    """Turns click's usage errors (bad or missing parameters, unknown options or
-    commands, no command) into a one-line parse error with exit code 1."""
+    """Holds the exit-code policy for every command: parsing the command line, which
+    finds the command, and running it both go through `_exit_policy`."""
 
     def make_context(self, info_name, args, parent=None, **extra):
-        try:
+        with _exit_policy():
             return super().make_context(info_name, args, parent=parent, **extra)
-        except click.UsageError as exc:
-            raise _UsageReject(exc.format_message()) from exc
 
     def invoke(self, ctx):
-        try:
+        with _exit_policy():
             return super().invoke(ctx)
-        except click.UsageError as exc:
-            raise _UsageReject(exc.format_message()) from exc
 
 
 fmt_option = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -107,7 +99,6 @@ def main():
 @click.argument("curve")
 @click.option("-p", "prime", type=int, required=True)
 @fmt_option
-@_guarded
 def tate_cmd(curve, prime, fmt):
     """Local reduction data at a prime."""
     model = _parse_curve(curve)
@@ -129,7 +120,6 @@ def tate_cmd(curve, prime, fmt):
 @click.argument("curve")
 @click.option("-X", "bound", type=int, required=True)
 @fmt_option
-@_guarded
 def ap(curve, bound, fmt):
     """Frobenius traces a_p for p <= X."""
     _check_bound(bound)
@@ -151,7 +141,6 @@ def ap(curve, bound, fmt):
 @click.option("-l", "ell", type=int, required=True)
 @click.option("-X", "bound", type=int, required=True)
 @fmt_option
-@_guarded
 def image(curve, ell, bound, fmt):
     """Mod-ell image certificate scan."""
     _check_bound(bound)
@@ -182,7 +171,6 @@ def image(curve, ell, bound, fmt):
 @click.argument("curve2")
 @click.option("-X", "bound", type=int, required=True)
 @fmt_option
-@_guarded
 def pair(curve1, curve2, bound, fmt):
     """Least trace-distinguishing prime and the comparison bound for a pair."""
     _check_bound(bound)
@@ -208,7 +196,6 @@ def pair(curve1, curve2, bound, fmt):
 @click.option("-l", "ell", type=int, required=True)
 @click.option("-X", "bound", type=int, required=True)
 @fmt_option
-@_guarded
 def epsilon(curve, ell, bound, fmt):
     """Quadratic character candidates for a non-surjective ell, after pruning."""
     _check_bound(bound)
@@ -245,7 +232,6 @@ def _ingest_checked(path, input_format):
 @click.option("-N", "ceiling", type=int, required=True)
 @click.option("--input-format", type=click.Choice(["csvAinvariants", "jsonLines"]), default=None)
 @fmt_option
-@_guarded
 def family_cmd(file, tag, ceiling, input_format, fmt):
     """Conductor-ordered family built from a curve corpus file."""
     if ceiling < 1:
@@ -276,7 +262,6 @@ def family_cmd(file, tag, ceiling, input_format, fmt):
 @click.option("--seed", type=int, default=0)
 @click.option("--input-format", type=click.Choice(["csvAinvariants", "jsonLines"]), default=None)
 @fmt_option
-@_guarded
 def pairs(file, bound, cap, seed, input_format, fmt):
     """Pair witness statistics over a corpus."""
     _check_bound(bound)
@@ -292,7 +277,6 @@ def pairs(file, bound, cap, seed, input_format, fmt):
 @main.command("cm-census")
 @click.option("-N", "ceiling", type=int, required=True)
 @fmt_option
-@_guarded
 def cm_census_cmd(ceiling, fmt):
     """Census of CM curves by conductor ceiling."""
     if ceiling < 1:
@@ -306,7 +290,6 @@ def cm_census_cmd(ceiling, fmt):
 @click.option("-X", "scale", type=float, required=True)
 @click.option("--input-format", type=click.Choice(["csvAinvariants", "jsonLines"]), default=None)
 @fmt_option
-@_guarded
 def symsum(file, labels, scale, input_format, fmt):
     """Smooth diagonal and cross sums of symmetric-square coefficients."""
     if not 0 < scale < math.inf:
@@ -338,7 +321,6 @@ def symsum(file, labels, scale, input_format, fmt):
 @main.command()
 @click.argument("delta")
 @fmt_option
-@_guarded
 def cdelta(delta, fmt):
     """The exponent constant c(delta), exactly."""
     try:
@@ -349,7 +331,11 @@ def cdelta(delta, fmt):
         result = symprime.c_delta(value)
     except ValueError as exc:
         raise ParseReject(str(exc))
-    _emit({"delta": str(value), "value": str(result)}, fmt)
+    try:
+        data = {"delta": str(value), "value": str(result)}
+    except ValueError:  # str() writes at most 4300 digits
+        raise ParseReject(f"too many digits to write: {delta!r}")
+    _emit(data, fmt)
 
 
 if __name__ == "__main__":

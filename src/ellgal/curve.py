@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import kronecker, primes_up_to
+from .arith import factorize, is_squarefree, kronecker, primes_up_to
 
 
 class SingularModel(Exception):
@@ -530,8 +530,6 @@ def trace_table(curve, X: int) -> TraceTable:
 
 def quadratic_twist(model: WeierstrassModel, d: int) -> WeierstrassModel:
     """Model of the quadratic twist by squarefree d: same j, a_p scaled by (d|p)."""
-    from .arith import is_squarefree
-
     if d == 0 or not is_squarefree(d):
         raise ValueError(f"twisting discriminant {d} is not squarefree")
     c4, c6 = model.c_invariants()
@@ -540,8 +538,6 @@ def quadratic_twist(model: WeierstrassModel, d: int) -> WeierstrassModel:
 
 def quartic_twist_model(d: int) -> WeierstrassModel:
     """y^2 = x^3 + d x (j = 1728 family); d must be fourth-power-free."""
-    from .arith import factorize
-
     if d == 0 or any(e >= 4 for _, e in factorize(d).factors):
         raise ValueError(f"{d} is not fourth-power-free")
     return WeierstrassModel(0, 0, 0, d, 0)
@@ -549,8 +545,6 @@ def quartic_twist_model(d: int) -> WeierstrassModel:
 
 def sextic_twist_model(d: int) -> WeierstrassModel:
     """y^2 = x^3 + d (j = 0 family); d must be sixth-power-free."""
-    from .arith import factorize
-
     if d == 0 or any(e >= 6 for _, e in factorize(d).factors):
         raise ValueError(f"{d} is not sixth-power-free")
     return WeierstrassModel(0, 0, 0, 0, d)

@@ -83,17 +83,19 @@ def ingest(path, fmt: str) -> Corpus:
         seen_labels.add(label)
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"not UTF-8 text ({exc.reason})") from exc
     with io.StringIO(text) as fh:
         if fmt == "csvAinvariants":
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:5]] != ["a1", "a2", "a3", "a4", "a6"]:
+            try:
+                rows = list(csv.reader(fh))
+            except csv.Error as exc:  # a field longer than csv.field_size_limit()
+                raise CorpusFormatError(f"unreadable CSV ({exc})") from exc
+            if not rows or [h.strip() for h in rows[0][:5]] != ["a1", "a2", "a3", "a4", "a6"]:
                 raise CorpusFormatError("expected header a1,a2,a3,a4,a6[,label]")
-            for rownum, row in enumerate(reader, start=2):
+            for rownum, row in enumerate(rows[1:], start=2):
                 if not row or all(not c.strip() for c in row):
                     continue
                 label = row[5].strip() if len(row) > 5 else None
@@ -103,10 +105,10 @@ def ingest(path, fmt: str) -> Corpus:
                 line = line.strip()
                 if not line:
                     continue
-                try:
+                try:  # json.loads raises ValueError also on an integer of over 4300 digits
                     obj = json.loads(line)
                     fields = [obj[k] for k in ("a1", "a2", "a3", "a4", "a6")]
-                except (json.JSONDecodeError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError):
                     rejects.append((rownum, "malformed JSON row"))
                     continue
                 label = obj.get("label")

@@ -101,24 +101,16 @@ def _connell(c4, c6):
     return WeierstrassModel(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
 
 
-def _local_short_model(model, p):
-    """For p >= 5: (c4', c6', v_p(Delta_min)) of a p-minimal model; E is then
-    y^2 = x^3 - 27 c4' x - 54 c6', minimal at p."""
-    c4, c6 = model.c_invariants()
-    vd = valuation(model.discriminant(), p)
-    d = _minimal_scaling(c4, c6, vd, p)
-    return c4 // p ** (4 * d), c6 // p ** (6 * d), vd - 12 * d
-
-
-def _tate_table(model, p):
-    """Reduction data at p >= 5 from the (v(c4), v(Delta)) valuation table."""
-    c4m, c6m, vd = _local_short_model(model, p)
-    vc4 = _vv(c4m, p)
-    mmodel = WeierstrassModel(0, 0, 0, -27 * c4m, -54 * c6m)
+def _tate_table(c4, c6, vd, p):
+    """Reduction data at p >= 5 from the (v(c4), v(Delta)) valuation table, given the
+    invariants c4, c6 of a p-minimal model and vd = v_p(Delta); the model attached
+    is y^2 = x^3 - 27 c4 x - 54 c6, minimal at p."""
+    vc4 = _vv(c4, p)
+    mmodel = WeierstrassModel(0, 0, 0, -27 * c4, -54 * c6)
     if vd == 0:
         return LocalReduction(p, "I0", 0, 0, "good", True, mmodel)
     if vc4 == 0:
-        split = kronecker(-c6m, p) == 1
+        split = kronecker(-c6, p) == 1
         red = "multSplit" if split else "multNonsplit"
         return LocalReduction(p, f"I{vd}", 1, vd, red, False, mmodel)
     pot_good = 3 * vc4 >= vd
@@ -182,20 +174,13 @@ def _singular_point(E, p):
     return r % p, -(a1 * r + a3) * pow(2, -1, p) % p
 
 
-def _tate_steps(model, p):
-    """Step-by-step Tate algorithm; valid at any p, used in production for p = 2, 3.
+def _tate_steps(base, c4, vd, p):
+    """Step-by-step Tate algorithm on a p-minimal model `base` with invariant c4 and
+    vd = v_p(Delta); valid at any p, used in production for p = 2, 3.
 
-    `_minimal_scaling` gives the p-minimal model (Connell's, when `model` is not
-    p-minimal), and every coordinate move is read off the a-invariants, so the steps
-    only classify: reaching step 11 is an invariant violation.
+    Every coordinate move is read off the a-invariants, so the steps only classify:
+    reaching step 11 is an invariant violation.
     """
-    c4, c6 = model.c_invariants()
-    vd = valuation(model.discriminant(), p)
-    base = model
-    d = _minimal_scaling(c4, c6, vd, p)
-    if d:
-        c4, c6, vd = c4 // p ** (4 * d), c6 // p ** (6 * d), vd - 12 * d
-        base = _connell(c4, c6)
     if vd == 0:
         return LocalReduction(p, "I0", 0, 0, "good", True, base)
     pot_good = 3 * _vv(c4, p) >= vd
@@ -266,11 +251,23 @@ def _tate_steps(model, p):
     raise InvariantViolation(f"Tate's algorithm reached step 11 at p={p} on a p-minimal model")
 
 
-def tate(model: WeierstrassModel, p: int) -> LocalReduction:
-    """Local reduction data at p, with a p-minimal model attached."""
-    loc = _tate_table(model, p) if p >= 5 else _tate_steps(model, p)
+def _classify(E, c4, c6, vd, p):
+    """Reduction data at p of E, p-minimal with invariants c4, c6 and vd = v_p(Delta):
+    the valuation table at p >= 5, Tate's steps at 2 and 3. Neither decides minimality."""
+    loc = _tate_table(c4, c6, vd, p) if p >= 5 else _tate_steps(E, c4, vd, p)
     _check_f_bound(p, loc.f)
     return loc
+
+
+def tate(model: WeierstrassModel, p: int) -> LocalReduction:
+    """Local reduction data at p, with a p-minimal model attached."""
+    c4, c6 = model.c_invariants()
+    vd = valuation(model.discriminant(), p)
+    d = _minimal_scaling(c4, c6, vd, p)
+    if d:
+        c4, c6, vd = c4 // p ** (4 * d), c6 // p ** (6 * d), vd - 12 * d
+        model = _connell(c4, c6)
+    return _classify(model, c4, c6, vd, p)
 
 
 def phi_order(local: LocalReduction):
@@ -305,18 +302,18 @@ def potential_goodness(local: LocalReduction) -> bool:
 def global_reduce(model: WeierstrassModel) -> GlobalReduction:
     """Globally minimal model, conductor, and the per-prime reduction map."""
     c4, c6 = model.c_invariants()
-    disc = model.discriminant()
-    disc_primes = [p for p, _ in factorize(abs(disc)).factors]
-    u = 1
-    for p in disc_primes:
-        u *= p ** _minimal_scaling(c4, c6, valuation(disc, p), p)
-    E = _connell(c4 // u**4, c6 // u**6)
+    u, vmin = 1, {}
+    for p, v in factorize(abs(model.discriminant())).factors:
+        d = _minimal_scaling(c4, c6, v, p)
+        u *= p**d
+        vmin[p] = v - 12 * d  # v_p(Delta_min); Delta_min divides Delta
+    c4, c6 = c4 // u**4, c6 // u**6
+    E = _connell(c4, c6)
 
     locs = {}
-    dmin = E.discriminant()
-    for p in disc_primes:  # Delta_min divides Delta, so these are all its primes
-        if dmin % p == 0:
-            loc = tate(E, p)
+    for p, v in vmin.items():
+        if v:
+            loc = _classify(E, c4, c6, v, p)
             if loc.f > 0:
                 locs[p] = loc
     conductor = 1

@@ -1,12 +1,15 @@
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ellgal.cli as cli
+import ellgal.family as family
 import ellgal.localdata as localdata
+from ellgal.arith import IncompleteFactorization
 from ellgal.family import report_parse_csv
 
 
@@ -44,12 +47,15 @@ def test_parse_reject_exit_code_1(runner, tmp_path, small_corpus_csv):
     headerless.write_text("0,0,1,-1,0,w\n", encoding="utf-8")
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes(b"a1,a2,a3,a4,a6,label\n0,0,1,-1,0,caf\xe9\n")
+    long_field = tmp_path / "long.csv"  # a label longer than the csv module reads
+    long_field.write_text("a1,a2,a3,a4,a6,label\n0,0,1,-1,0," + "w" * 140000 + "\n")
     corpus = str(small_corpus_csv)
     rejected = [
         ["tate", "0,0,1,-1", "-p", "37"],
         ["tate", "0,0,0,0,0", "-p", "2"],  # singular
         ["cdelta", "abc"],
         ["cdelta", "1/3"],  # pole side: delta <= 1/2 rejected
+        ["cdelta", "1e5000"],  # more digits than str() writes
         ["image", "0,0,1,-1,0", "-l", "3", "-X", "100"],
         ["image", "0,0,1,-1,0", "-l", "9", "-X", "100"],
         ["epsilon", "0,0,1,-1,0", "-l", "3", "-X", "100"],
@@ -63,6 +69,7 @@ def test_parse_reject_exit_code_1(runner, tmp_path, small_corpus_csv):
     rejected += [["family", corpus, "-N", n] for n in ("0", "-5")]
     rejected += [
         ["family", str(latin1), "-N", "100"],
+        ["family", str(long_field), "-N", "100"],
         ["pairs", str(latin1), "-X", "100"],
         ["symsum", str(latin1), "--pair", "row2,row2", "-X", "100"],
         ["pairs", corpus, "-X", "100", "--sample", "-1"],
@@ -151,6 +158,24 @@ def test_under_scaled_model_is_an_invariant_violation(runner, monkeypatch):
     assert res.stderr.startswith("invariant violation:") and res.stderr.count("\n") == 1
 
 
+def _report(res, fmt):
+    """The report a command printed, read back from its JSON or CSV form."""
+    return json.loads(res.stdout) if fmt == "json" else report_parse_csv(res.stdout.encode())
+
+
+def _assert_exit_contract(res, fmt, reads_corpus=False):
+    """Exit 0 or 1 and never a traceback; a parse reject is one stderr line and no
+    stdout, and only a corpus with rejected rows exits 1 after a full report."""
+    assert res.exit_code in (0, 1), res.stderr
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    if res.stderr:
+        assert res.exit_code == 1 and res.stdout == ""
+        assert res.stderr.startswith("parse error:") and res.stderr.count("\n") == 1
+    else:
+        assert _report(res, fmt)
+        assert res.exit_code == 0 or reads_corpus
+
+
 # argv pieces for `ellgal tate`: integers of every size, also with signs, underscores
 # and non-ASCII digits (int() reads them all), floats, blanks and stray text; -p as
 # a prime, a composite, a negative number or a non-number
@@ -180,15 +205,215 @@ _PRIME = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_tate_argv_fuzz(curve, prime, fmt):
     res = CliRunner().invoke(cli.main, ["tate", curve, "-p", prime, "--format", fmt])
-    assert res.exit_code in (0, 1), (curve, prime, res.stderr)
-    assert res.exception is None or isinstance(res.exception, SystemExit)  # no traceback
-    if res.exit_code == 1:
+    _assert_exit_contract(res, fmt)
+    if res.exit_code == 0:
+        assert _report(res, fmt)["p"] == int(prime)
+
+
+# argv pieces for every other subcommand. A curve that reaches global_reduce is a
+# small curve moved by u = 1/k for a smooth k, written in any digits, so its
+# discriminant factors at once however large its coefficients; or it is malformed.
+_DIGITS = st.sampled_from(
+    [str.maketrans("", "")]
+    + [str.maketrans("0123456789", "".join(map(chr, range(z, z + 10)))) for z in (0x660, 0xFF10)]
+)
+_SCALED_INTS = st.builds(
+    lambda ainvs, k: [k**w * a for w, a in zip((1, 2, 3, 4, 6), ainvs)],
+    st.lists(st.integers(min_value=-12, max_value=12), min_size=5, max_size=5),
+    st.builds(lambda a, b, c: 2**a * 3**b * 35**c, *[st.integers(0, 12)] * 3),
+)
+_SCALED = st.builds(lambda ints, digits: [str(n).translate(digits) for n in ints], _SCALED_INTS, _DIGITS)
+
+
+def _five_integers(fields):
+    """Whether a corpus row or a curve string would go on to be reduced."""
+    try:
+        return len([int(f) for f in fields[:5]]) == 5
+    except ValueError:
+        return False
+
+
+_MALFORMED = st.lists(_FIELD, max_size=7).filter(lambda fields: not _five_integers(fields))
+_PADDED = _SCALED.map(lambda fields: [f" {f}\t" for f in fields])
+_ANY_CURVE = st.one_of(_SCALED, _PADDED, _MALFORMED).map(",".join)
+_BOUND = st.one_of(
+    st.integers(min_value=2, max_value=3000).map(str),
+    st.integers(min_value=-3, max_value=3000).map(str),
+    st.sampled_from(["", "abc", "2.5", "1e3", "\u0663\u0660", "+40", "1_000", "\uff15"]),
+)
+_CEILING = st.one_of(
+    st.integers(min_value=1, max_value=10**4).map(str),
+    st.integers(min_value=-3, max_value=10**4).map(str),
+    st.sampled_from(["", "N", "1e4", "\uff15"]),
+)
+_SCALE = st.one_of(
+    st.floats(min_value=0.5, max_value=1500).map(str),
+    st.floats(min_value=-1, max_value=1500).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e-300", "0", "-0.0", "abc", ""]),
+)
+_DELTA = st.one_of(
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(-5, 50)),
+    st.floats().map(str),
+    st.text(alphabet="0123456789/.-e ", max_size=6),
+    st.sampled_from(["5/6", "1/2", "1e5000", "\u0665/\u0666"]),
+)
+_LABELS = ("a", "b", " a", "", " ", "c,d")
+_PAIR = st.builds(",".join, st.lists(st.sampled_from(_LABELS), max_size=3))
+_SAMPLE = st.integers(min_value=-2, max_value=50).map(str)
+_FORMATS = st.sampled_from(["json", "csv"])
+_FILTER = st.sampled_from(["all", "ss", "add12", "cm"])
+_CORPUS_COMMANDS = ["family", "pairs", "symsum"]
+
+
+@st.composite
+def _argv(draw, path, labels, commands=None):
+    """argv of one of `commands`, by default every subcommand; `path` is the corpus
+    and `labels` its records' labels, which `symsum --pair` draws from."""
+    cmd = draw(st.sampled_from(commands or sorted(cli.main.commands)))
+    pair = st.lists(st.sampled_from(labels), min_size=2, max_size=2).map(", ".join) if labels else _PAIR
+    pieces = {
+        "tate": [_CURVE, "-p", _PRIME],
+        "ap": [_ANY_CURVE, "-X", _BOUND],
+        "image": [_ANY_CURVE, "-l", _PRIME, "-X", _BOUND],
+        "pair": [_ANY_CURVE, _ANY_CURVE, "-X", _BOUND],
+        "epsilon": [_ANY_CURVE, "-l", _PRIME, "-X", _BOUND],
+        "family": [path, "--filter", _FILTER, "-N", _CEILING],
+        "pairs": [path, "-X", _BOUND, "--sample", _SAMPLE, "--seed", st.integers().map(str)],
+        "cm-census": ["-N", _CEILING],
+        "symsum": [path, "--pair", st.one_of(pair, _PAIR), "-X", _SCALE],
+        "cdelta": [_DELTA],
+    }[cmd]
+    return [cmd] + [draw(p) if isinstance(p, st.SearchStrategy) else p for p in pieces]
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "abc.csv").write_text(
+        "a1,a2,a3,a4,a6,label\n0,0,1,-1,0,a\n0,1,1,-2,0,b\n0,-1,1,-10,-20,c\n", encoding="utf-8"
+    )
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_argv_fuzz_every_subcommand(corpus_dir, data):
+    argv = data.draw(_argv(str(corpus_dir / "abc.csv"), ["a", "b", "c"]))
+    fmt = data.draw(_FORMATS)
+    res = CliRunner().invoke(cli.main, argv + ["--format", fmt])
+    _assert_exit_contract(res, fmt, reads_corpus=argv[0] in _CORPUS_COMMANDS)
+
+
+# corpus files: well-formed rows of huge smooth-scaled curves, rows of the wrong
+# arity, floats, bools and huge integers, blank or duplicate labels, lines that are
+# not JSON objects; then maybe a byte-order mark or bytes that are not UTF-8
+_KEYS = ("a1", "a2", "a3", "a4", "a6")
+_CSV_ROW = st.one_of(
+    st.builds(lambda row, label: row + [label], _SCALED, st.sampled_from(_LABELS)),
+    _SCALED,
+    st.lists(st.one_of(_FIELD, st.sampled_from(["True", "false", "None"])), max_size=7).filter(
+        lambda fields: not _five_integers(fields)
+    ),
+)
+_CSV_TEXT = st.builds(
+    lambda header, rows: "\n".join([header] + [",".join(r) for r in rows]) + "\n",
+    st.sampled_from(["a1,a2,a3,a4,a6,label", " a1,a2 ,a3,a4,a6", "label,a1,a2,a3,a4,a6", ""]),
+    st.lists(_CSV_ROW, max_size=6),
+)
+_JSON_VALUE = st.one_of(
+    st.integers(-12, 12), st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=3)
+)
+_JSON_LABEL = st.one_of(st.sampled_from(_LABELS), st.integers(), st.none(), st.booleans())
+_JSON_ROW = st.one_of(
+    st.builds(lambda ints, label: json.dumps({**dict(zip(_KEYS, ints)), "label": label}),
+              _SCALED_INTS, _JSON_LABEL),
+    st.dictionaries(st.sampled_from(_KEYS + ("label",)), _JSON_VALUE, max_size=6)
+    .filter(lambda row: not all(type(row.get(k)) is int for k in _KEYS))
+    .map(json.dumps),
+    st.sampled_from(["", "not json", "[0, 0, 1, -1, 0]", "null", "{", '{"a1": ' + "1" * 5000 + "}"]),
+)
+_JSON_TEXT = st.lists(_JSON_ROW, max_size=6).map(lambda rows: "\n".join(rows) + "\n")
+
+
+@st.composite
+def _corpus_file(draw, directory):
+    suffix, text = draw(st.one_of(st.tuples(st.just(".csv"), _CSV_TEXT),
+                                  st.tuples(st.just(".jsonl"), _JSON_TEXT)))
+    blob = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + draw(st.sampled_from([b"\xff", b"caf\xe9", b"\xc3"])) + blob[at:]
+    path = directory / f"corpus{suffix}"
+    path.write_bytes(blob)
+    return str(path)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_corpus_fuzz(corpus_dir, data):
+    path = data.draw(_corpus_file(corpus_dir))
+    guessed = "jsonLines" if path.endswith(".jsonl") else "csvAinvariants"
+    input_format = data.draw(st.sampled_from([None, "csvAinvariants", "jsonLines"]))
+    try:
+        corpus = family.ingest(path, input_format or guessed)
+    except family.CorpusFormatError:
+        corpus = None
+    labels = [r.label for r in corpus.records] if corpus else []
+    argv = data.draw(_argv(path, labels, _CORPUS_COMMANDS))
+    argv += ["--input-format", input_format] if input_format else []
+    fmt = data.draw(_FORMATS)
+    res = CliRunner().invoke(cli.main, argv + ["--format", fmt])
+    _assert_exit_contract(res, fmt, reads_corpus=True)
+    if not res.stderr:  # the exit code says whether the corpus had rejected rows
+        assert (res.exit_code == 1) == bool(corpus.rejects)
+
+
+def test_exit_policy_needs_nothing_from_a_command(runner, monkeypatch):
+    # a command registered on the group with no decorator of its own gets the policy
+    failures = [
+        (cli.ParseReject("synthetic reject"), 1, "parse error: synthetic reject"),
+        (localdata.InvariantViolation("synthetic"), 2, "invariant violation: synthetic"),
+        (IncompleteFactorization(91, 91, {}), 2, "internal error: IncompleteFactorization:"),
+        (RuntimeError("two\nlines"), 2, "internal error: RuntimeError: two lines"),
+        (MemoryError(), 2, "internal error: MemoryError"),
+    ]
+
+    @click.command("throwaway")
+    @click.argument("which", type=int)
+    def throwaway(which):
+        raise failures[which][0]
+
+    monkeypatch.setitem(cli.main.commands, "throwaway", throwaway)
+    for which, (_, code, prefix) in enumerate(failures):
+        res = runner.invoke(cli.main, ["throwaway", str(which)])
+        assert res.exit_code == code, prefix
+        assert isinstance(res.exception, SystemExit)  # no traceback escaped
         assert res.stdout == ""
-        assert res.stderr.startswith("parse error:") and res.stderr.count("\n") == 1
-    elif fmt == "json":
-        assert json.loads(res.stdout)["p"] == int(prime)
-    else:
-        assert report_parse_csv(res.stdout.encode())["p"] == int(prime)
+        assert res.stderr.startswith(prefix) and res.stderr.count("\n") == 1, res.stderr
+
+
+def test_bound_the_sieve_cannot_hold_exits_2(runner, small_corpus_csv, monkeypatch):
+    # 10^30 overflows the sieve's index at once and allocates nothing
+    huge, corpus = str(10**30), str(small_corpus_csv)
+    for args in (
+        ["ap", "0,0,1,-1,0", "-X", huge],
+        ["image", "0,0,1,-1,0", "-l", "5", "-X", huge],
+        ["pair", "0,0,1,-1,0", "0,1,1,-2,0", "-X", huge],
+        ["epsilon", "0,0,1,-1,0", "-l", "5", "-X", huge],
+        ["pairs", corpus, "-X", huge],
+        ["symsum", corpus, "--pair", "c0000,c0001", "-X", "1e30"],
+    ):
+        res = runner.invoke(cli.main, args)
+        assert res.stdout == "", args
+        _assert_internal_failure(res, "internal error: OverflowError:")
+
+    def no_memory(curve, X):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "trace_table", no_memory)
+    res = runner.invoke(cli.main, ["ap", "0,0,1,-1,0", "-X", "100"])
+    assert res.stdout == ""
+    _assert_internal_failure(res, "internal error: MemoryError")
 
 
 def test_ap_command(runner):

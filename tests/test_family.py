@@ -24,7 +24,7 @@ from ellgal.family import (
     report_parse_csv,
     validate_cm_bases,
 )
-from ellgal.localdata import _tate_table, global_reduce
+from ellgal.localdata import global_reduce, tate
 from tate_reference import _tate_steps
 
 # census counts verified against a direct enumeration of every admissible twist
@@ -35,7 +35,7 @@ CENSUS_ORACLE = {1000: 120, 10**4: 462, 10**5: 2156, 10**6: 9050}
 def test_ingest_csv_and_rejects(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text(
-        "a1,a2,a3,a4,a6,label\n"
+        "\ufeffa1,a2,a3,a4,a6,label\n"  # a byte-order mark before the header is dropped
         "0,0,1,-1,0,good\n"
         "0,0,x,1,1,badint\n"
         "0,0,0,0,0,singular\n"
@@ -75,7 +75,8 @@ def test_ingest_json_lines(tmp_path):
         {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": " \t"},
         {"a1": 0, "a2": 0, "a3": 1, "a4": -1, "a6": 0, "label": "w "},
     ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    lines = [json.dumps(r) for r in rows] + ['{"a1": ' + "1" * 5000 + "}"]  # too long to read
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     corpus = ingest(path, "jsonLines")
     assert [r.label for r in corpus.records] == ["w", "row2", "strings", "row7"]
     assert corpus.rejects == (
@@ -83,6 +84,7 @@ def test_ingest_json_lines(tmp_path):
         (4, "non-integer coefficient"),
         (5, "non-integer coefficient"),
         (8, "duplicate label 'w'"),
+        (9, "malformed JSON row"),
     )
     assert corpus.records[0].reduction.conductor == 37
 
@@ -302,7 +304,7 @@ class _ExponentOracle:
             key = (q, vq, chi)
             if key not in self.cache:
                 rep = q**vq * (1 if chi == 1 else least_nonresidue(q))
-                self.cache[key] = _tate_table(self.build(rep), q).f
+                self.cache[key] = tate(self.build(rep), q).f
             out *= q ** self.cache[key]
         return out
 

@@ -1,5 +1,4 @@
 import itertools
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from ellgal.localdata import (
     _check_f_bound,
     _connell,
     _tate_steps,
-    _tate_table,
     global_reduce,
     inertial_type,
     phi_order,
@@ -88,33 +86,47 @@ def test_global_reduce_idempotent(corpus):
 
 def test_global_reduce_makes_no_rescaling_round(corpus, monkeypatch):
     # the minimal model is one scaling of (c4, c6) away, built by Connell's
-    # construction: no change of variables with u != 1 anywhere, and no Tate run
-    # called by global_reduce itself (only tate's classifying runs at bad primes)
-    counts = {"rescale": 0, "minimising_steps": 0, "steps": 0}
-    transform, steps = WeierstrassModel.transform, localdata._tate_steps
+    # construction: no change of variables with u != 1 anywhere; global_reduce
+    # decides minimality once per prime of the discriminant and classifies its own
+    # minimal model without going through tate
+    counts = {"rescale": 0, "scaling": 0, "tate": 0, "steps": 0}
+    transform, scaling = WeierstrassModel.transform, localdata._minimal_scaling
+    tate_fn, steps = localdata.tate, localdata._tate_steps
 
     def counting_transform(self, u=1, r=0, s=0, t=0):
         counts["rescale"] += u != 1
         return transform(self, u, r, s, t)
 
-    def counting_steps(model, p):
-        counts["steps"] += 1
-        counts["minimising_steps"] += sys._getframe(1).f_code.co_name == "global_reduce"
-        return steps(model, p)
+    def counter(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return counted
 
     monkeypatch.setattr(WeierstrassModel, "transform", counting_transform)
-    monkeypatch.setattr(localdata, "_tate_steps", counting_steps)
+    monkeypatch.setattr(localdata, "_minimal_scaling", counter("scaling", scaling))
+    monkeypatch.setattr(localdata, "tate", counter("tate", tate_fn))
+    monkeypatch.setattr(localdata, "_tate_steps", counter("steps", steps))
+
+    def reduce_once(model):
+        before = counts["scaling"], counts["tate"]
+        red = global_reduce(model)
+        primes = len(factorize(abs(model.discriminant())).factors)
+        assert (counts["scaling"], counts["tate"]) == (before[0] + primes, before[1])
+        return red
+
     for rec in corpus.records:
-        assert global_reduce(rec.model).conductor == rec.reduction.conductor
+        assert reduce_once(rec.model).conductor == rec.reduction.conductor
     big = WeierstrassModel(0, 0, 6**3, -(6**4), 0)  # 37a with u = 6
-    assert global_reduce(big).minimal_model.ainvs() == (0, 0, 1, -1, 0)
+    assert reduce_once(big).minimal_model.ainvs() == (0, 0, 1, -1, 0)
     for D in family.CM_BASES:
         power, build, _ = family._family(D)
         for sign, a, b in itertools.product((1, -1), range(power), range(power)):
-            global_reduce(build(sign * 2**a * 3**b * 35))
+            reduce_once(build(sign * 2**a * 3**b * 35))
     family.cm_census(10**5)
-    assert counts["steps"] > 0  # the counters saw the runs
-    assert (counts["rescale"], counts["minimising_steps"]) == (0, 0)
+    assert counts["steps"] > 0  # the counters saw the classifying runs
+    assert counts["rescale"] == 0
 
 
 def test_connell_gives_back_c4_c6_as_a_reduced_model(corpus):
@@ -199,6 +211,11 @@ def test_potential_goodness_criterion():
     assert not potential_goodness(tate(mult, 11))
 
 
+def _steps(E, p):
+    """Tate's steps on a model E that is minimal at p."""
+    return _tate_steps(E, E.c_invariants()[0], valuation(E.discriminant(), p), p)
+
+
 def test_table_and_steps_agree_at_small_primes(corpus):
     # the closed-form valuation table (p >= 5) against the step algorithm
     for rec in corpus.records[::61]:
@@ -206,7 +223,7 @@ def test_table_and_steps_agree_at_small_primes(corpus):
         for p, loc in red.locals.items():
             if p < 5 or p > 13:
                 continue  # the steps count the cubic's roots by brute force; keep p small
-            steps = _tate_steps(red.minimal_model, p)
+            steps = _steps(red.minimal_model, p)
             assert (steps.kodaira, steps.f, steps.v_delta_min) == (
                 loc.kodaira,
                 loc.f,
@@ -364,5 +381,7 @@ def test_tate_table_and_steps_agree_at_p_ge_5(p, alpha, beta, A, B, rst):
         return
     r, s, t = rst
     model = model.transform(r=r, s=s, t=t)
-    table, steps = _tate_table(model, p), _tate_steps(model, p)
-    assert (table.kodaira, table.f) == (steps.kodaira, steps.f)
+    # the table on tate's p-minimal invariants, the steps on its p-minimal model
+    table = tate(model, p)
+    steps = _steps(table.minimal_model, p)
+    assert _classification(table) == _classification(steps)
