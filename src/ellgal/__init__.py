@@ -24,6 +24,7 @@ from .curve import (
     quartic_twist_model,
     sextic_twist_model,
     trace_table,
+    trace_tables,
 )
 from .family import (
     CM_BASES,

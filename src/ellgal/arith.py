@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,7 +70,7 @@ def primes_up_to(bound: int) -> list[int]:
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(itertools.compress(range(bound + 1), sieve))
 
 
 def smallest_prime_factors(bound: int) -> list[int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import click
 from . import family as familymod
 from . import galois, symprime
 from .arith import IncompleteFactorization, is_prime
-from .curve import SingularModel, WeierstrassModel, trace_table
+from .curve import SingularModel, WeierstrassModel, trace_table, trace_tables
 from .localdata import InvariantViolation, global_reduce, phi_order, tate
 from .localdata import NotAdditivePotGood
 
@@ -176,7 +177,7 @@ def pair(curve1, curve2, bound, fmt):
     _check_bound(bound)
     m1, m2 = _parse_curve(curve1), _parse_curve(curve2)
     r1, r2 = global_reduce(m1), global_reduce(m2)
-    t1, t2 = trace_table(r1, bound), trace_table(r2, bound)
+    t1, t2 = trace_tables([r1, r2], bound)
     try:
         res = galois.comparison_bound(r1, t1, r2, t2, bound)
         _emit(
@@ -304,8 +305,7 @@ def symsum(file, labels, scale, input_format, fmt):
         raise ParseReject(f"labels not in corpus: {missing}")
     r1, r2 = by_label[want[0]], by_label[want[1]]
     bound = int(2 * scale) + 1
-    t1 = trace_table(r1.reduction, bound)
-    t2 = trace_table(r2.reduction, bound)
+    t1, t2 = trace_tables([r1.reduction, r2.reduction], bound)
     psi = symprime.bump_psi()
     coprime_to = r1.reduction.conductor * r2.reduction.conductor
     s_val = symprime.smooth_sum_S(t1, scale, psi, coprime_to)
@@ -323,6 +323,10 @@ def symsum(file, labels, scale, input_format, fmt):
 @fmt_option
 def cdelta(delta, fmt):
     """The exponent constant c(delta), exactly."""
+    # Fraction expands 1e<n> to all n digits before anything can look at it
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", delta)
+    if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4:
+        raise ParseReject(f"decimal exponent of more than 4 digits in {delta[:40]!r}")
     try:
         value = Fraction(delta)
     except (ValueError, ZeroDivisionError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,14 @@ class BadReduction(Exception):
 #   [4096, 5120) 94/33/106  [5120, 6144) 111/32/106 [6144, 8192) 131/32/112
 # From 4096 the batch is ~3x faster and a single prime's scalar count is
 # within ~10% of the naive one; below it the scalar count falls further behind.
+# A table's naive primes are counted for all its curves at once.  Microseconds
+# per (curve, prime) on the 24 corpus-scan curves of seed 1, naive batch / BSGS
+# batch (lanes of all 24 curves), best of two runs of five, 2 vCPU:
+#   [1024, 2048) 18/18   [2048, 3072) 30/21   [3072, 4096) 39/17
+#   [4096, 5120) 48/17   [5120, 6144) 63/19   [6144, 8192) 80/22
+# A batch of one is no slower than the scalar naive count.  For tables alone
+# the BSGS batch would take over from 2048, but count_points shares this
+# constant and its scalar BSGS is the slower route up to 4096.
 NAIVE_CROSSOVER = 4096
 
 
@@ -111,6 +120,25 @@ def _count_naive_short(A, B, p):
     sq = x * x % p
     counts = np.bincount(sq, minlength=p)  # counts[z] = #{y in F_p : y^2 = z}
     return int(counts[((sq + A) * x + B) % p].sum()) + 1
+
+
+_RESIDUES = 1 << 18  # (curve, x) pairs per naive kernel call at most, which bounds its memory
+_X = np.arange(NAIVE_CROSSOVER, dtype=np.int64)
+_XX, _XXX = _X * _X, _X * _X * _X  # not reduced: x^3 + Ax + B < p^3 + p^2 fits int64
+
+
+def _affine_counts(A, B, p):
+    """#{(x, y) in F_p^2 : y^2 = x^3 + A[k]x + B[k]} for each row k, at a prime
+    5 <= p < NAIVE_CROSSOVER; #E(F_p) is one more, the point at infinity.
+
+    A and B are residues mod p: int64 columns (shape (rows, 1)), which give a
+    list of counts, or ints for a single row, which give one count.  One
+    square-count table serves every row.
+    """
+    counts = np.bincount(_XX[:p] % p, minlength=p)  # counts[z] = #{y in F_p : y^2 = z}
+    f = _XXX[:p] + A * _X[:p] + B
+    f %= p
+    return np.add.reduce(counts[f], axis=-1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +354,11 @@ def _lane_pow(base, e, p):
 
 
 def _count_bsgs_lanes(A, B, primes):
-    """#E(F_p) of y^2 = x^3 + Ax + B for the lanes of one pass that pin it.
+    """#E(F_p) of y^2 = x^3 + A[k]x + B[k] over F_p, p = primes[k], for each lane
+    k of one pass, or None where the lane does not pin it.
 
-    Each prime p >= 5 of `primes` (at most _LANES, all below LANE_LIMIT) is one
-    lane.  The lane takes the first point `_count_bsgs` draws, P = (rx, r^2) on
+    A pass holds at most _LANES lanes, each p >= 5 and below LANE_LIMIT, and
+    may mix curves.  The lane takes the first point `_count_bsgs` draws, P = (rx, r^2) on
     y^2 = x^3 + ar x + br with ar = A r^2, br = B r^3, and finds every n in the
     Hasse interval with nP = 0: baby steps x(iP) for i <= m, giant steps x(jG)
     for G = (2m+1)P, all normalised by one inversion per lane, matched on
@@ -338,11 +367,12 @@ def _count_bsgs_lanes(A, B, primes):
     2p + 2 - n as (r|p) = 1 or -1.  A lane that cannot be run exactly (r = 0, a
     difference with x = 0, an order up to 2m + 1) is left out.
     """
+    Ap = [a % q for a, q in zip(A, primes)]
+    Bp = [b % q for b, q in zip(B, primes)]
+    state = [_next_state(_seed(a, b, q)) for a, b, q in zip(Ap, Bp, primes)]
     lanes = len(primes)
     p = np.array(primes, dtype=np.int64)
-    Ap = np.array([A % q for q in primes], dtype=np.int64)
-    Bp = np.array([B % q for q in primes], dtype=np.int64)
-    state = [_next_state(_seed(int(Ap[k]), int(Bp[k]), q)) for k, q in enumerate(primes)]
+    Ap, Bp = np.array(Ap, dtype=np.int64), np.array(Bp, dtype=np.int64)
     x = np.array(state, dtype=np.int64) % p
     r = (x * x % p * x % p + Ap * x % p + Bp) % p
     ok = r != 0
@@ -428,25 +458,24 @@ def _count_bsgs_lanes(A, B, primes):
     count = np.zeros(lanes, dtype=np.int64)
     count[ln] = n
     count = np.where(side, count, 2 * p + 2 - count)
-    return {primes[k]: int(count[k]) for k in np.flatnonzero(pinned)}
+    return [n if ok else None for n, ok in zip(count.tolist(), pinned.tolist())]
 
 
 def _count_bsgs_batch(A, B, primes):
-    """{p: #E(F_p)} of y^2 = x^3 + Ax + B for the primes p >= 5 the lanes pin.
+    """#E(F_p) of y^2 = x^3 + A[k]x + B[k] over F_p, p = primes[k], for each k,
+    or None where the lanes leave it to the scalar route; primes ascend, all >= 5.
 
-    Primes at or above LANE_LIMIT are never sent to a lane.  Lanes are grouped
-    by bit length, so one pass shares its step counts, and a pass holds at most
-    _LANES of them, which bounds its memory.  A prime missing from the result
-    is left to the scalar route.
+    A prime at or above LANE_LIMIT is never sent to a lane.  Each pass takes
+    lanes of one bit length of p, so it shares its step counts whatever the
+    curves, and at most _LANES of them, which bounds its memory.
     """
-    groups = {}
-    for p in primes:
-        if p < LANE_LIMIT:
-            groups.setdefault(p.bit_length(), []).append(p)
-    counts = {}
-    for group in groups.values():
-        for k in range(0, len(group), _LANES):
-            counts.update(_count_bsgs_lanes(A, B, group[k : k + _LANES]))
+    counts = [None] * len(primes)
+    start, stop = 0, bisect_left(primes, LANE_LIMIT)
+    while start < stop:
+        bits_end = bisect_left(primes, 1 << primes[start].bit_length(), start)
+        end = min(bits_end, start + _LANES, stop)
+        counts[start:end] = _count_bsgs_lanes(A[start:end], B[start:end], primes[start:end])
+        start = end
     return counts
 
 
@@ -454,18 +483,6 @@ def _checked_trace(p, n):
     ap = p + 1 - n
     assert ap * ap <= 4 * p, f"Hasse-Weil violated at p={p}"
     return ap
-
-
-def _trace_good(model, A, B, p, strategy):
-    """a_p of `model` at a prime p of good reduction for it; at p >= 5 the count
-    is made on y^2 = x^3 + Ax + B, a model isomorphic to it over Z_(p)."""
-    if p < 5:
-        n = _count_naive_23(model, p)
-    elif strategy == "naive" or (strategy == "auto" and p < NAIVE_CROSSOVER):
-        n = _count_naive_short(A, B, p)
-    else:
-        n = _count_bsgs(A % p, B % p, p)
-    return _checked_trace(p, n)
 
 
 def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int:
@@ -478,7 +495,13 @@ def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int
     if loc.f != 0:
         raise BadReduction(f"p={p} divides the minimal discriminant")
     E = loc.minimal_model  # a short model at p >= 5
-    return _trace_good(E, E.a4, E.a6, p, strategy)
+    if p < 5:
+        n = _count_naive_23(E, p)
+    elif strategy == "naive" or (strategy == "auto" and p < NAIVE_CROSSOVER):
+        n = _count_naive_short(E.a4, E.a6, p)
+    else:
+        n = _count_bsgs(E.a4 % p, E.a6 % p, p)
+    return _checked_trace(p, n)
 
 
 @dataclass(frozen=True)
@@ -499,33 +522,106 @@ class TraceTable:
         return sorted(self.good)
 
 
+_LOCAL_TRACE = {"multSplit": 1, "multNonsplit": -1, "additive": 0}
+
+
+def _traces(reductions, after, X):
+    """a_p of each reduction's minimal model at the primes p in (after, X], in order.
+
+    Returns those primes and one list per reduction, aligned with them: the
+    count at a good prime, the local coefficient at a bad one.  The curves are
+    counted together.  Below NAIVE_CROSSOVER each `_affine_counts` call takes
+    one prime for as many curves as _RESIDUES allows, their coefficients
+    reduced mod every prime of the band up front; from there on all their good
+    primes share the BSGS passes, in lanes that mix curves.
+    """
+    primes = primes_up_to(X)
+    primes = primes[bisect_right(primes, after) :]
+    models = [red.minimal_model for red in reductions]
+    shorts = [(-27 * c4, -54 * c6) for c4, c6 in (E.c_invariants() for E in models)]
+    lo, hi = bisect_left(primes, 5), bisect_left(primes, NAIVE_CROSSOVER)
+    band = primes[lo:hi]
+    P = np.array(band, dtype=np.int64)[:, None]
+    step = max(1, _RESIDUES // max(band, default=1))
+    rows = []
+    for start in range(0, len(reductions), step):
+        # a curve is counted at its bad primes too, on a singular cubic, and overwritten below
+        batch = shorts[start : start + step]
+        A = [[a % p for p in band] for a, _ in batch]
+        B = [[b % p for p in band] for _, b in batch]
+        if len(batch) > 1:  # columns to broadcast over the rows; numpy is fastest on ints
+            A = np.array(A, dtype=np.int64).T[:, :, None]
+            B = np.array(B, dtype=np.int64).T[:, :, None]
+        else:
+            A, B = A[0], B[0]
+        affine = [_affine_counts(a, b, p) for p, a, b in zip(band, A, B)]
+        aps = P - np.array(affine, dtype=np.int64).reshape(len(band), len(batch))
+        for row in aps.T.tolist():
+            assert all(a * a <= 4 * p for a, p in zip(row, band)), "Hasse-Weil violated"
+            rows.append([None] * lo + row + [None] * (len(primes) - hi))
+
+    def above():  # the good (curve, prime) pairs above the band, in ascending order of p
+        for i in range(hi, len(primes)):
+            for k, red in enumerate(reductions):
+                if primes[i] not in red.locals:
+                    yield k, i
+
+    A, B, Q = [], [], []
+    for k, i in above():
+        A.append(shorts[k][0])
+        B.append(shorts[k][1])
+        Q.append(primes[i])
+    for (k, i), n, a, b, p in zip(above(), _count_bsgs_batch(A, B, Q), A, B, Q):
+        rows[k][i] = _checked_trace(p, _count_bsgs(a % p, b % p, p) if n is None else n)
+    for k, red in enumerate(reductions):
+        for i in range(lo):
+            if primes[i] not in red.locals:
+                rows[k][i] = _checked_trace(primes[i], _count_naive_23(models[k], primes[i]))
+        for p, loc in red.locals.items():
+            i = bisect_left(primes, p)
+            if i < len(primes) and primes[i] == p:
+                rows[k][i] = _LOCAL_TRACE[loc.red_type]
+    return primes, rows
+
+
+def _table(model, red, X, primes, aps):
+    """The TraceTable of `model` up to X from a_p aligned with `primes` (all p <= X)."""
+    good = dict(zip(primes, aps))
+    ramified = {p: good.pop(p) for p in red.locals if p in good}
+    return TraceTable(model, X, good, ramified)
+
+
+def _reduced_tables(curves, X):
+    """The body of trace_tables and trace_table: neither public entry calls the
+    other, so a per-function timer charges the counting to the one called."""
+    from . import localdata
+
+    pairs = [
+        (c, localdata.global_reduce(c)) if isinstance(c, WeierstrassModel)
+        else (c.minimal_model, c)
+        for c in curves
+    ]
+    primes, rows = _traces([red for _, red in pairs], 0, X)
+    return [_table(model, red, X, primes, aps) for (model, red), aps in zip(pairs, rows)]
+
+
+def trace_tables(curves, X: int) -> list:
+    """trace_table of each curve, all counted together.
+
+    Each curve is a WeierstrassModel, which is reduced here, or the
+    GlobalReduction of one, as for trace_table.
+    """
+    return _reduced_tables(curves, X)
+
+
 def trace_table(curve, X: int) -> TraceTable:
     """a_p for all primes p <= X; ramified primes carry the local coefficient.
 
     `curve` is a WeierstrassModel, which is reduced here, or the
     GlobalReduction of one, which is used as it is; the table's model is then
-    the reduction's minimal model.
+    the reduction's minimal model.  This is the batch of one of trace_tables.
     """
-    if isinstance(curve, WeierstrassModel):
-        from . import localdata
-
-        model, red = curve, localdata.global_reduce(curve)
-    else:
-        model, red = curve.minimal_model, curve
-    ram = {}
-    for p, loc in red.locals.items():
-        if p <= X:
-            ram[p] = {"multSplit": 1, "multNonsplit": -1, "additive": 0}[loc.red_type]
-    E = red.minimal_model
-    c4, c6 = E.c_invariants()
-    A, B = -27 * c4, -54 * c6
-    primes = [p for p in primes_up_to(X) if p not in ram]
-    counts = _count_bsgs_batch(A, B, [p for p in primes if p >= NAIVE_CROSSOVER])
-    good = {
-        p: _checked_trace(p, counts[p]) if p in counts else _trace_good(E, A, B, p, "auto")
-        for p in primes
-    }
-    return TraceTable(model, X, good, ram)
+    return _reduced_tables([curve], X)[0]
 
 
 def quadratic_twist(model: WeierstrassModel, d: int) -> WeierstrassModel:

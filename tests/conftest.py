@@ -9,11 +9,19 @@ import itertools
 
 import pytest
 
+import ellgal.family as family
 from ellgal.curve import SingularModel, WeierstrassModel
 from ellgal.family import Corpus, CurveRecord, build_family
 from ellgal.localdata import global_reduce
 
 CORPUS_CEILING = 10**4
+
+
+@pytest.fixture(autouse=True)
+def _empty_trace_store():
+    """Each test starts with an empty trace store, so no test is served a table
+    that another one counted, perhaps under its own monkeypatch."""
+    family._STORE.clear()
 
 
 def _generate_corpus():

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test (one pass/fail line under pytest -v) per criterion.
+"""Acceptance suite: one test (one pass/fail line under pytest -v) per criterion,
+and one on how criterion 6 gets its tables.
 
 Each criterion is asserted with its pinned tolerances; nothing here is tuned to
 the implementation. Frozen oracle values were produced by independent routes
@@ -16,15 +17,17 @@ import pytest
 from click.testing import CliRunner
 
 import ellgal.cli as cli
+import ellgal.family as family
 from ellgal.arith import class_number, class_number_one_discriminants, kronecker, primes_up_to
 from ellgal.curve import (
     WeierstrassModel,
     count_points,
     quadratic_twist,
+    trace_tables,
 )
 from ellgal.family import (
     CM_BASES,
-    _cached_traces,
+    _STORE,
     _is_cm,
     cm_census,
     pair_statistics,
@@ -49,8 +52,9 @@ from ellgal.symprime import (
 TRACE_BOUND = 1000
 
 
-def _table(red, X=TRACE_BOUND):
-    return _cached_traces(red, X)
+def _tables(reductions, X=TRACE_BOUND):
+    """The curves' trace tables up to X, asked of the trace store in one batch."""
+    return _STORE.tables(reductions, X)
 
 
 def test_criterion_01_trace_oracle_equivalence(corpus):
@@ -60,12 +64,13 @@ def test_criterion_01_trace_oracle_equivalence(corpus):
     primes = [p for p in primes_up_to(1000) if p >= 5]
     start = time.monotonic()
     checked = 0
-    for rec in sample:
+    # the naive counts of all 100 curves in one batch, each against scalar BSGS
+    for rec, table in zip(sample, trace_tables([r.reduction for r in sample], 1000)):
         model = rec.reduction.minimal_model
         for p in primes:
             if rec.reduction.conductor % p == 0:
                 continue
-            naive = count_points(model, p, strategy="naive")
+            naive = table.good[p]
             bsgs = count_points(model, p, strategy="bsgs")
             assert naive == bsgs, (rec.label, p, naive, bsgs)
             checked += 1
@@ -77,8 +82,7 @@ def test_criterion_01_trace_oracle_equivalence(corpus):
 def test_criterion_02_hasse_weil(corpus):
     """a_p^2 <= 4p exactly for every computed trace across the corpus."""
     checked = 0
-    for rec in corpus.records:
-        table = _table(rec.reduction)
+    for rec, table in zip(corpus.records, _tables([r.reduction for r in corpus.records])):
         for p, ap in table.good.items():
             assert ap * ap <= 4 * p, (rec.label, p, ap)
             checked += 1
@@ -160,10 +164,7 @@ def test_criterion_05_twist_relations(corpus):
     print("criterion 5 PASS: 50 trace-twist and 20 conductor-twist relations exact")
 
 
-def test_criterion_06_comparison_bound_spot_check(corpus):
-    """50 pairs: every prime in (comparisonBound, comparisonBound + 50] is
-    jointly surjective; c(5/6) = 5558 exactly."""
-    assert c_delta(Fraction(5, 6)) == 5558
+def _criterion_06_pairs(corpus):
     noncm = [r for r in corpus.records if not _is_cm(r)]
     rnd = random.Random(606)
     pairs = []
@@ -171,16 +172,38 @@ def test_criterion_06_comparison_bound_spot_check(corpus):
         a, b = rnd.sample(noncm, 2)
         if a.reduction.conductor != b.reduction.conductor:
             pairs.append((a, b))
+    return pairs
+
+
+def test_criterion_06_tables_extend_criterion_02_tables(corpus, monkeypatch):
+    """The trace store counts criterion 6's X = 1500 tables from criterion 2's
+    X = 1000 ones: one batch, over the primes in (1000, 1500] only."""
+    curves = {r.label: r.reduction for pair in _criterion_06_pairs(corpus) for r in pair}
+    reds = list(curves.values())
+    _tables(reds)
+    batches = []
+    traces = family._traces
+
+    def spy(reductions, after, X):
+        batches.append((len(reductions), after, X))
+        return traces(reductions, after, X)
+
+    monkeypatch.setattr(family, "_traces", spy)
+    assert _tables(reds, 1500) == trace_tables(reds, 1500)
+    assert batches == [(len(reds), TRACE_BOUND, 1500)]
+
+
+def test_criterion_06_comparison_bound_spot_check(corpus):
+    """50 pairs: every prime in (comparisonBound, comparisonBound + 50] is
+    jointly surjective; c(5/6) = 5558 exactly."""
+    assert c_delta(Fraction(5, 6)) == 5558
+    pairs = _criterion_06_pairs(corpus)
     X = 1500
+    curves = {r.label: r.reduction for pair in pairs for r in pair}
+    tables = dict(zip(curves, _tables(list(curves.values()), X)))
     windows = 0
     for a, b in pairs:
-        res = comparison_bound(
-            a.reduction,
-            _table(a.reduction, X),
-            b.reduction,
-            _table(b.reduction, X),
-            X,
-        )
+        res = comparison_bound(a.reduction, tables[a.label], b.reduction, tables[b.label], X)
         for ell, status in res.spot_checks:
             assert status == "jointlySurjective", (a.label, b.label, ell, status)
             windows += 1
@@ -194,7 +217,7 @@ def test_criterion_07_epsilon_machinery(corpus):
     cm = next(
         r for r in corpus.records if r.reduction.minimal_model.ainvs() == (0, 0, 1, 0, 0)
     )
-    table = _table(cm.reduction, X)
+    (table,) = _tables([cm.reduction], X)
     rep = image_test(cm.reduction, table, 5, X)
     assert rep.obstruction == "nonsplitCartanNormalizer"
     pruned = prune_epsilon(epsilon_candidates(cm.reduction, 5), table, 5)
@@ -208,7 +231,7 @@ def test_criterion_07_epsilon_machinery(corpus):
     for rec in corpus.records:
         if emptied == 20:
             break
-        t = _table(rec.reduction, X)
+        (t,) = _tables([rec.reduction], X)
         rep = image_test(rec.reduction, t, 5, X)
         if rep.verdict != "surjective":
             continue
@@ -223,8 +246,8 @@ def test_criterion_08_symmetric_power_identity(corpus):
     """(t^2-1)^2 = 1 + (t^2-1) + (t^4-3t^2+1) exactly at every processed prime;
     rankinCoeff collapses to that value whenever |t1| = |t2|."""
     checked = 0
-    for rec in corpus.records[::7]:
-        table = _table(rec.reduction)
+    records = corpus.records[::7]
+    for rec, table in zip(records, _tables([r.reduction for r in records])):
         for p, ap in table.good.items():
             ev = NormalizedEigenvalue(p, ap)
             sc = sym_coeffs(ev)
@@ -299,8 +322,7 @@ def test_criterion_11_smooth_sums(corpus):
     for d in (5, -7):
         tw = global_reduce(quadratic_twist(base.minimal_model, d))
         cop = base.conductor * tw.conductor * abs(d)
-        t1 = _cached_traces(base, 2001)
-        t2 = _cached_traces(tw, 2001)
+        t1, t2 = _tables([base, tw], 2001)
         s = smooth_sum_S(t1, 1000.0, psi, cop)
         h = smooth_sum_H(t1, t2, 1000.0, psi, cop)
         assert s == h, d
@@ -309,14 +331,14 @@ def test_criterion_11_smooth_sums(corpus):
     for rec in corpus.records:
         by_conductor.setdefault(rec.reduction.conductor, rec)
     reps = [by_conductor[N] for N in sorted(by_conductor)[:5]]
+    tables = _tables([r.reduction for r in reps], 20001)
     ratios = {1000.0: [], 10000.0: []}
     report = []
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             a, b = reps[i], reps[j]
             cop = a.reduction.conductor * b.reduction.conductor
-            ta = _cached_traces(a.reduction, 20001)
-            tb = _cached_traces(b.reduction, 20001)
+            ta, tb = tables[i], tables[j]
             row = [a.label, b.label]
             for X in (1000.0, 10000.0):
                 s = smooth_sum_S(ta, X, psi, cop)

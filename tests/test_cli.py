@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from pathlib import Path
 
 import click
 import pytest
@@ -56,6 +59,8 @@ def test_parse_reject_exit_code_1(runner, tmp_path, small_corpus_csv):
         ["cdelta", "abc"],
         ["cdelta", "1/3"],  # pole side: delta <= 1/2 rejected
         ["cdelta", "1e5000"],  # more digits than str() writes
+        ["cdelta", "1e1000000"],  # an exponent Fraction would expand to a million digits
+        ["cdelta", "2.5E-99999999"],
         ["image", "0,0,1,-1,0", "-l", "3", "-X", "100"],
         ["image", "0,0,1,-1,0", "-l", "9", "-X", "100"],
         ["epsilon", "0,0,1,-1,0", "-l", "3", "-X", "100"],
@@ -255,7 +260,7 @@ _DELTA = st.one_of(
     st.builds("{}/{}".format, st.integers(-50, 50), st.integers(-5, 50)),
     st.floats().map(str),
     st.text(alphabet="0123456789/.-e ", max_size=6),
-    st.sampled_from(["5/6", "1/2", "1e5000", "\u0665/\u0666"]),
+    st.sampled_from(["5/6", "1/2", "1e5000", "1e1000000", "\u0665/\u0666"]),
 )
 _LABELS = ("a", "b", " a", "", " ", "c,d")
 _PAIR = st.builds(",".join, st.lists(st.sampled_from(_LABELS), max_size=3))
@@ -310,6 +315,8 @@ def test_argv_fuzz_every_subcommand(corpus_dir, data):
 _KEYS = ("a1", "a2", "a3", "a4", "a6")
 _CSV_ROW = st.one_of(
     st.builds(lambda row, label: row + [label], _SCALED, st.sampled_from(_LABELS)),
+    st.builds(lambda row, label, extra: row + [label] + extra, _SCALED, st.sampled_from(_LABELS),
+              st.lists(_FIELD, min_size=1, max_size=2)),
     _SCALED,
     st.lists(st.one_of(_FIELD, st.sampled_from(["True", "false", "None"])), max_size=7).filter(
         lambda fields: not _five_integers(fields)
@@ -366,6 +373,11 @@ def test_corpus_fuzz(corpus_dir, data):
     _assert_exit_contract(res, fmt, reads_corpus=True)
     if not res.stderr:  # the exit code says whether the corpus had rejected rows
         assert (res.exit_code == 1) == bool(corpus.rejects)
+    if corpus is not None and (input_format or guessed) == "csvAinvariants":
+        # a row with a field after the label is a reject, never read as its first six
+        rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8-sig"))))
+        wide = {n for n, r in enumerate(rows[1:], 2) if len(r) > 6 and any(f.strip() for f in r)}
+        assert wide <= {n for n, _ in corpus.rejects}
 
 
 def test_exit_policy_needs_nothing_from_a_command(runner, monkeypatch):
@@ -583,7 +595,7 @@ def test_bsgs_order_not_pinned_exit_code_2(runner, monkeypatch):
     monkeypatch.setattr(curve, "NAIVE_CROSSOVER", 700)
     monkeypatch.setattr(curve, "_point_order", lambda P, A, p, lo, hi: 1)
     # the batched lanes would pin p = 701 on their own: leave every one to _count_bsgs
-    monkeypatch.setattr(curve, "_count_bsgs_batch", lambda A, B, primes: {})
+    monkeypatch.setattr(curve, "_count_bsgs_batch", lambda A, B, primes: [None] * len(primes))
     res = runner.invoke(cli.main, ["ap", "0,0,1,-1,0", "-X", "710"])
     _assert_internal_failure(res, "group order not pinned down at p=701")
 
@@ -599,7 +611,6 @@ def test_family_reduces_each_record_once(runner, small_corpus_csv, monkeypatch):
         calls.append(model.ainvs())
         return original(model)
 
-    monkeypatch.setattr(family, "_TRACE_CACHE", {})
     for module in (localdata, family, cli):
         monkeypatch.setattr(module, "global_reduce", counting)
     res = _run(runner, ["family", str(small_corpus_csv), "-N", "10000"])

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from ellgal.curve import (
     quartic_twist_model,
     sextic_twist_model,
     trace_table,
+    trace_tables,
 )
 from ellgal.localdata import global_reduce, tate
 
@@ -260,6 +262,12 @@ def _short(model):
     return -27 * c4, -54 * c6
 
 
+def _batch(A, B, primes):
+    """{p: #E(F_p)} the BSGS lanes pin for one curve y^2 = x^3 + Ax + B."""
+    counts = _count_bsgs_batch([A] * len(primes), [B] * len(primes), primes)
+    return {p: n for p, n in zip(primes, counts) if n is not None}
+
+
 def test_batched_bsgs_matches_naive_and_scalar_below_3000():
     # the j = 0 and j = 1728 curves give the lanes small point orders, two
     # annihilators and x = 0 differences; those lanes must be left out
@@ -267,7 +275,7 @@ def test_batched_bsgs_matches_naive_and_scalar_below_3000():
         A, B = _short(model)
         disc = model.discriminant()
         primes = [p for p in primes_up_to(3000) if p >= 5 and disc % p]
-        counts = _count_bsgs_batch(A, B, primes)
+        counts = _batch(A, B, primes)
         assert len(counts) > len(primes) // 2, model.ainvs()
         for p, n in counts.items():
             assert n == _count_naive_short(A, B, p) == _count_bsgs(A % p, B % p, p), (
@@ -288,7 +296,7 @@ def test_batched_bsgs_exact_near_int64_bound():
         primes |= band
     for model in (E37, E389):
         A, B = _short(model)
-        counts = _count_bsgs_batch(A, B, sorted(primes))
+        counts = _batch(A, B, sorted(primes))
         assert len(counts) >= len(primes) - 2, model.ainvs()
         for p, n in counts.items():
             assert n == _count_bsgs(A % p, B % p, p), (model.ainvs(), p)
@@ -306,7 +314,7 @@ def test_batch_never_takes_a_prime_at_or_above_lane_limit(monkeypatch):
     big = next(q for q in range(LANE_LIMIT, LANE_LIMIT + 1000) if is_prime(q))
     below = next(q for q in range(LANE_LIMIT - 1, 0, -1) if is_prime(q))
     A, B = _short(E37)
-    counts = _count_bsgs_batch(A, B, [10007, below, big])
+    counts = _batch(A, B, [10007, below, big])
     assert sorted(seen) == [10007, below] and big not in counts
     assert counts[10007] == _count_naive_short(A, B, 10007)
 
@@ -317,9 +325,80 @@ def test_trace_table_batched_matches_scalar_bsgs(monkeypatch):
         for p, ap in table.good.items():
             assert ap == count_points(model, p, strategy="bsgs"), (model.ainvs(), p)
     # every lane left to the scalar route: the same tables
-    monkeypatch.setattr(curve, "_count_bsgs_batch", lambda A, B, primes: {})
+    monkeypatch.setattr(curve, "_count_bsgs_batch", lambda A, B, primes: [None] * len(primes))
     for model, table in tables.items():
         assert trace_table(model, 20001) == table
+
+
+# the batched naive kernel's oracle batch: corpus curves, the j = 0 and j = 1728
+# curves, two curves with 23- and 22-digit discriminants (bad at 5 and 401, and
+# at 17), and 37a, 11a, 389a, whose bad primes put masked rows in the band
+NAIVE_BATCH = (
+    E37,
+    E11,
+    E389,
+    WeierstrassModel(0, 0, 1, 0, 0),
+    WeierstrassModel(0, 0, 0, -1, 0),
+    WeierstrassModel(0, -1, 1, -1201796, -7836423369),
+    WeierstrassModel(1, 1, 1, -340375, 3287516046),
+)
+
+
+def _euler_chi(p):
+    """(z|p) for every z in [0, p), by Euler's criterion z^((p-1)/2) mod p."""
+    z, chi, e = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64), (p - 1) // 2
+    while e:
+        if e & 1:
+            chi = chi * z % p
+        z, e = z * z % p, e >> 1
+    return np.where(chi == p - 1, -1, chi)
+
+
+def test_batched_naive_matches_scalar_naive_bsgs_and_legendre(corpus):
+    models = NAIVE_BATCH + tuple(r.reduction.minimal_model for r in corpus.records[::500])
+    reds = [global_reduce(m) for m in models]
+    X = NAIVE_CROSSOVER - 1
+    tables = trace_tables(reds, X)
+    assert any(p in t.ramified for t in tables for p in (5, 17, 401))  # masked rows
+    for p in primes_up_to(X)[2:]:
+        chi = _euler_chi(p)
+        x = np.arange(p, dtype=np.int64)
+        for red, table in zip(reds, tables):
+            if p in red.locals:
+                assert p not in table.good
+                continue
+            ap = table.good[p]
+            c4, c6 = red.minimal_model.c_invariants()
+            A, B = -27 * c4, -54 * c6
+            assert p + 1 - ap == _count_naive_short(A, B, p) == _count_bsgs(A % p, B % p, p), p
+            # the y-count of the completed square, independent of the short model
+            b2, b4, b6, _ = (b % p for b in red.minimal_model.b_invariants())
+            assert ap == -int(chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p].sum()), p
+
+
+def test_naive_batch_in_row_steps(monkeypatch):
+    # room for three rows of 97 residues: the batch of seven goes in steps of
+    # three, three and one curves (that one as ints), each over the 23 primes in [5, 100]
+    whole = trace_tables(NAIVE_BATCH, 100)
+    calls = []
+    kernel = curve._affine_counts
+
+    def recording(A, B, p):
+        calls.append(np.size(A) * p)
+        return kernel(A, B, p)
+
+    monkeypatch.setattr(curve, "_RESIDUES", 3 * 97)
+    monkeypatch.setattr(curve, "_affine_counts", recording)
+    assert trace_tables(NAIVE_BATCH, 100) == whole
+    assert len(calls) == 3 * 23 and max(calls) <= 3 * 97
+
+
+def test_trace_table_is_the_batch_of_one():
+    tables = trace_tables([*NAIVE_BATCH, global_reduce(E37)], 5000)
+    for model, table in zip(NAIVE_BATCH, tables):
+        assert trace_table(model, 5000) == table
+    assert tables[-1].model == global_reduce(E37).minimal_model
+    assert trace_tables([], 100) == []
 
 
 def test_trace_table_memory_is_bounded_by_the_pass_size():
