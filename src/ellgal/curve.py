@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -525,18 +526,16 @@ class TraceTable:
 _LOCAL_TRACE = {"multSplit": 1, "multNonsplit": -1, "additive": 0}
 
 
-def _traces(reductions, after, X):
-    """a_p of each reduction's minimal model at the primes p in (after, X], in order.
+def _traces(reductions, primes):
+    """a_p of each reduction's minimal model at the given ascending primes.
 
-    Returns those primes and one list per reduction, aligned with them: the
-    count at a good prime, the local coefficient at a bad one.  The curves are
-    counted together.  Below NAIVE_CROSSOVER each `_affine_counts` call takes
-    one prime for as many curves as _RESIDUES allows, their coefficients
-    reduced mod every prime of the band up front; from there on all their good
-    primes share the BSGS passes, in lanes that mix curves.
+    Returns one list per reduction, aligned with `primes`: the count at a good
+    prime, the local coefficient at a bad one.  The curves are counted
+    together.  Below NAIVE_CROSSOVER each `_affine_counts` call takes one prime
+    for as many curves as _RESIDUES allows, their coefficients reduced mod
+    every prime of the band up front; from there on all their good primes
+    share the BSGS passes, in lanes that mix curves.
     """
-    primes = primes_up_to(X)
-    primes = primes[bisect_right(primes, after) :]
     models = [red.minimal_model for red in reductions]
     shorts = [(-27 * c4, -54 * c6) for c4, c6 in (E.c_invariants() for E in models)]
     lo, hi = bisect_left(primes, 5), bisect_left(primes, NAIVE_CROSSOVER)
@@ -560,18 +559,18 @@ def _traces(reductions, after, X):
             assert all(a * a <= 4 * p for a, p in zip(row, band)), "Hasse-Weil violated"
             rows.append([None] * lo + row + [None] * (len(primes) - hi))
 
-    def above():  # the good (curve, prime) pairs above the band, in ascending order of p
-        for i in range(hi, len(primes)):
-            for k, red in enumerate(reductions):
-                if primes[i] not in red.locals:
-                    yield k, i
-
-    A, B, Q = [], [], []
-    for k, i in above():
-        A.append(shorts[k][0])
-        B.append(shorts[k][1])
-        Q.append(primes[i])
-    for (k, i), n, a, b, p in zip(above(), _count_bsgs_batch(A, B, Q), A, B, Q):
+    K, Q = [], []  # the good (curve, prime) pairs above the band, in ascending order of p
+    for i in range(hi, len(primes)):
+        for k, red in enumerate(reductions):
+            if primes[i] not in red.locals:
+                K.append(k)
+                Q.append(primes[i])
+    A = [shorts[k][0] for k in K]
+    B = [shorts[k][1] for k in K]
+    i = hi  # the index of p in primes, walked along with Q
+    for k, n, a, b, p in zip(K, _count_bsgs_batch(A, B, Q), A, B, Q):
+        while primes[i] < p:
+            i += 1
         rows[k][i] = _checked_trace(p, _count_bsgs(a % p, b % p, p) if n is None else n)
     for k, red in enumerate(reductions):
         for i in range(lo):
@@ -581,28 +580,63 @@ def _traces(reductions, after, X):
             i = bisect_left(primes, p)
             if i < len(primes) and primes[i] == p:
                 rows[k][i] = _LOCAL_TRACE[loc.red_type]
-    return primes, rows
+    return rows
 
 
-def _table(model, red, X, primes, aps):
-    """The TraceTable of `model` up to X from a_p aligned with `primes` (all p <= X)."""
-    good = dict(zip(primes, aps))
-    ramified = {p: good.pop(p) for p in red.locals if p in good}
-    return TraceTable(model, X, good, ramified)
+class _TraceStore:
+    """Trace tables by minimal model, at most `capacity` a_p in all.
+
+    It keeps each curve's largest table as its a_p (the local coefficient at a
+    bad prime) in ascending order of p, serves a smaller bound by slicing it,
+    and extends it by counting only the new primes, for all the curves of one
+    request at once.  The least recently requested curves go first.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.size = 0  # a_p stored
+        self._rows = OrderedDict()  # minimal a-invariants -> (bound, a_p array)
+
+    def clear(self):
+        self._rows.clear()
+        self.size = 0
+
+    def tables(self, curves, X):
+        """trace_table(curve, X) of each curve, each with dicts of its own."""
+        from . import localdata
+
+        pairs = [
+            (c, localdata.global_reduce(c)) if isinstance(c, WeierstrassModel)
+            else (c.minimal_model, c)
+            for c in curves
+        ]
+        keys = [red.minimal_model.ainvs() for _, red in pairs]
+        short = {}  # stored bound (-inf: none) -> {key: reduction} of the tables to extend
+        for key, (_, red) in zip(keys, pairs):
+            bound = self._rows[key][0] if key in self._rows else -math.inf
+            if bound < X:
+                short.setdefault(bound, {})[key] = red
+        primes = primes_up_to(X)
+        for after, group in short.items():
+            rows = _traces(list(group.values()), primes[bisect_right(primes, after) :])
+            for key, row in zip(group, rows):
+                _, old = self._rows.pop(key, (0, _NO_TRACES))
+                self._rows[key] = (X, np.concatenate([old, np.array(row, dtype=np.int32)]))
+                self.size += len(row)
+        tables = []
+        for key, (model, red) in zip(keys, pairs):
+            self._rows.move_to_end(key)
+            good = dict(zip(primes, self._rows[key][1][: len(primes)].tolist()))
+            ramified = {p: good.pop(p) for p in red.locals if p in good}
+            tables.append(TraceTable(model, X, good, ramified))
+        while self.size > self.capacity:
+            self.size -= len(self._rows.popitem(last=False)[1][1])
+        return tables
 
 
-def _reduced_tables(curves, X):
-    """The body of trace_tables and trace_table: neither public entry calls the
-    other, so a per-function timer charges the counting to the one called."""
-    from . import localdata
-
-    pairs = [
-        (c, localdata.global_reduce(c)) if isinstance(c, WeierstrassModel)
-        else (c.minimal_model, c)
-        for c in curves
-    ]
-    primes, rows = _traces([red for _, red in pairs], 0, X)
-    return [_table(model, red, X, primes, aps) for (model, red), aps in zip(pairs, rows)]
+_NO_TRACES = np.zeros(0, dtype=np.int32)
+# a_p kept at most: the 2,472 tables of criterion 2 at X = 1000 hold 415,296
+_STORE = _TraceStore(1 << 20)
 
 
 def trace_tables(curves, X: int) -> list:
@@ -611,7 +645,7 @@ def trace_tables(curves, X: int) -> list:
     Each curve is a WeierstrassModel, which is reduced here, or the
     GlobalReduction of one, as for trace_table.
     """
-    return _reduced_tables(curves, X)
+    return _STORE.tables(curves, X)
 
 
 def trace_table(curve, X: int) -> TraceTable:
@@ -620,8 +654,12 @@ def trace_table(curve, X: int) -> TraceTable:
     `curve` is a WeierstrassModel, which is reduced here, or the
     GlobalReduction of one, which is used as it is; the table's model is then
     the reduction's minimal model.  This is the batch of one of trace_tables.
+    Both are served by the trace store, which slices a table it holds to a
+    smaller bound and extends it to a larger one over the new primes only.
+    Neither public entry calls the other, so a per-function timer charges the
+    work to the one called.
     """
-    return _reduced_tables([curve], X)[0]
+    return _STORE.tables([curve], X)[0]
 
 
 def quadratic_twist(model: WeierstrassModel, d: int) -> WeierstrassModel:

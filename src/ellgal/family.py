@@ -8,13 +8,12 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import kronecker, least_nonresidue, primes_up_to, smallest_prime_factors
-from .curve import SingularModel, WeierstrassModel, _table, _traces
+from .curve import SingularModel, WeierstrassModel, trace_tables
 from .curve import trace_table  # noqa: F401  (kept as family.trace_table)
 from .galois import pair_bound, pair_witness
 from .localdata import GlobalReduction, global_reduce, tate
@@ -43,54 +42,6 @@ class Family:
     ceiling: int
     records: tuple  # sorted by (conductor, label)
     collisions: tuple  # groups of labels with identical small-prime trace fingerprints
-
-
-class _TraceStore:
-    """Trace tables by minimal model, at most `capacity` a_p in all.
-
-    It keeps each curve's largest table as its a_p (the local coefficient at a
-    bad prime) in ascending order of p, serves a smaller bound by slicing it,
-    and extends it by counting only the new primes, for all the curves of one
-    request at once.  The least recently requested curves go first.
-    """
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.size = 0  # a_p stored
-        self._rows = OrderedDict()  # minimal a-invariants -> (bound, a_p array)
-
-    def clear(self):
-        self._rows.clear()
-        self.size = 0
-
-    def tables(self, reductions, X):
-        """The trace table up to X of each reduction, as `trace_table(red, X)` gives it."""
-        keys = [red.minimal_model.ainvs() for red in reductions]
-        short = {}  # stored bound -> {key: reduction} of the tables to extend
-        for key, red in zip(keys, reductions):
-            bound = self._rows[key][0] if key in self._rows else 0
-            if bound < X:
-                short.setdefault(bound, {})[key] = red
-        for after, group in short.items():
-            _, rows = _traces(list(group.values()), after, X)
-            for key, row in zip(group, rows):
-                _, old = self._rows.pop(key, (0, _NO_TRACES))
-                self._rows[key] = (X, np.concatenate([old, np.array(row, dtype=np.int32)]))
-                self.size += len(row)
-        primes = primes_up_to(X)
-        tables = []
-        for key, red in zip(keys, reductions):
-            self._rows.move_to_end(key)
-            aps = self._rows[key][1][: len(primes)].tolist()
-            tables.append(_table(red.minimal_model, red, X, primes, aps))
-        while self.size > self.capacity:
-            self.size -= len(self._rows.popitem(last=False)[1][1])
-        return tables
-
-
-_NO_TRACES = np.zeros(0, dtype=np.int32)
-# a_p kept at most: the 2,472 tables of criterion 2 at X = 1000 hold 415,296
-_STORE = _TraceStore(1 << 20)
 
 
 def ingest(path, fmt: str) -> Corpus:
@@ -187,7 +138,7 @@ def _passes(record: CurveRecord, tag: str) -> bool:
 def _fingerprints(records):
     """Each record's a_p (local coefficients at bad primes) for p <= 75."""
     primes = primes_up_to(75)
-    return [tuple(map(t.trace, primes)) for t in _STORE.tables([r.reduction for r in records], 75)]
+    return [tuple(map(t.trace, primes)) for t in trace_tables([r.reduction for r in records], 75)]
 
 
 def build_family(corpus: Corpus, tag: str, ceiling: int) -> Family:
@@ -223,7 +174,7 @@ def pair_statistics(family: Family, X: int, sample_cap: int, seed: int) -> dict:
         picks = sorted(random.Random(seed).sample(picks, sample_cap))
     pairs = list(_pairs_at(picks, len(recs)))
     needed = [recs[i] for i in sorted({i for pair in pairs for i in pair})]
-    tables = _STORE.tables([r.reduction for r in needed], X)
+    tables = trace_tables([r.reduction for r in needed], X)
     tables = {r.label: t for r, t in zip(needed, tables)}
     entries = []
     no_witness = []
@@ -284,7 +235,7 @@ def validate_cm_bases():
     for D, model in zip(CM_BASES, models):
         if model.j_invariant() != CM_BASES[D][1]:
             raise RuntimeError(f"stored model for D={D} has wrong j-invariant")
-    for D, table in zip(CM_BASES, _STORE.tables([global_reduce(m) for m in models], 500)):
+    for D, table in zip(CM_BASES, trace_tables(models, 500)):
         for p in table.good_primes():
             if p < 5:
                 continue

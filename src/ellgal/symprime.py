@@ -50,15 +50,17 @@ class SymCoefficients:
 
 
 def sym_coeffs(ev: NormalizedEigenvalue) -> SymCoefficients:
-    t2 = ev.t_squared
-    return SymCoefficients(ev.p, t2 - 1, t2 * t2 - 3 * t2 + 1)
+    # t^2 = a_p^2 / p: each value is one Fraction of an integer numerator over a power of p
+    p, a2 = ev.p, ev.ap * ev.ap
+    return SymCoefficients(p, Fraction(a2 - p, p), Fraction(a2 * (a2 - 3 * p) + p * p, p * p))
 
 
 def rankin_coeff(ev1: NormalizedEigenvalue, ev2: NormalizedEigenvalue) -> Fraction:
     """lambda_{Sym^2 f x Sym^2 g}(p) = (t1^2 - 1)(t2^2 - 1)."""
     if ev1.p != ev2.p:
         raise ValueError("eigenvalues at different primes")
-    return (ev1.t_squared - 1) * (ev2.t_squared - 1)
+    p = ev1.p
+    return Fraction((ev1.ap * ev1.ap - p) * (ev2.ap * ev2.ap - p), p * p)
 
 
 def _satake_numerators(ap, p, kmax):

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-import ellgal.family as family
+import ellgal.curve as curve
 from ellgal.curve import SingularModel, WeierstrassModel
 from ellgal.family import Corpus, CurveRecord, build_family
 from ellgal.localdata import global_reduce
@@ -21,7 +21,21 @@ CORPUS_CEILING = 10**4
 def _empty_trace_store():
     """Each test starts with an empty trace store, so no test is served a table
     that another one counted, perhaps under its own monkeypatch."""
-    family._STORE.clear()
+    curve._STORE.clear()
+
+
+@pytest.fixture
+def trace_batches(monkeypatch):
+    """Each batch of curves the trace store counts, as (curves, primes counted)."""
+    batches = []
+    traces = curve._traces
+
+    def spy(reductions, primes):
+        batches.append((len(reductions), list(primes)))
+        return traces(reductions, primes)
+
+    monkeypatch.setattr(curve, "_traces", spy)
+    return batches
 
 
 def _generate_corpus():

@@ -17,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 import ellgal.cli as cli
-import ellgal.family as family
+import ellgal.curve as curve
 from ellgal.arith import class_number, class_number_one_discriminants, kronecker, primes_up_to
 from ellgal.curve import (
     WeierstrassModel,
@@ -27,7 +27,6 @@ from ellgal.curve import (
 )
 from ellgal.family import (
     CM_BASES,
-    _STORE,
     _is_cm,
     cm_census,
     pair_statistics,
@@ -54,7 +53,7 @@ TRACE_BOUND = 1000
 
 def _tables(reductions, X=TRACE_BOUND):
     """The curves' trace tables up to X, asked of the trace store in one batch."""
-    return _STORE.tables(reductions, X)
+    return trace_tables(reductions, X)
 
 
 def test_criterion_01_trace_oracle_equivalence(corpus):
@@ -175,22 +174,15 @@ def _criterion_06_pairs(corpus):
     return pairs
 
 
-def test_criterion_06_tables_extend_criterion_02_tables(corpus, monkeypatch):
+def test_criterion_06_tables_extend_criterion_02_tables(corpus, trace_batches):
     """The trace store counts criterion 6's X = 1500 tables from criterion 2's
     X = 1000 ones: one batch, over the primes in (1000, 1500] only."""
     curves = {r.label: r.reduction for pair in _criterion_06_pairs(corpus) for r in pair}
     reds = list(curves.values())
     _tables(reds)
-    batches = []
-    traces = family._traces
-
-    def spy(reductions, after, X):
-        batches.append((len(reductions), after, X))
-        return traces(reductions, after, X)
-
-    monkeypatch.setattr(family, "_traces", spy)
-    assert _tables(reds, 1500) == trace_tables(reds, 1500)
-    assert batches == [(len(reds), TRACE_BOUND, 1500)]
+    tables = _tables(reds, 1500)
+    assert trace_batches[1:] == [(len(reds), [p for p in primes_up_to(1500) if p > TRACE_BOUND])]
+    assert tables == curve._TraceStore(1 << 20).tables(reds, 1500)  # counted afresh
 
 
 def test_criterion_06_comparison_bound_spot_check(corpus):

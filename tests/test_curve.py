@@ -319,15 +319,18 @@ def test_batch_never_takes_a_prime_at_or_above_lane_limit(monkeypatch):
     assert counts[10007] == _count_naive_short(A, B, 10007)
 
 
-def test_trace_table_batched_matches_scalar_bsgs(monkeypatch):
+def test_trace_table_batched_matches_scalar_bsgs(monkeypatch, trace_batches):
     tables = {model: trace_table(model, 20001) for model in (E37, E389)}
     for model, table in tables.items():
         for p, ap in table.good.items():
             assert ap == count_points(model, p, strategy="bsgs"), (model.ainvs(), p)
-    # every lane left to the scalar route: the same tables
+    # every lane left to the scalar route: the same tables, counted again
     monkeypatch.setattr(curve, "_count_bsgs_batch", lambda A, B, primes: [None] * len(primes))
+    curve._STORE.clear()
+    del trace_batches[:]
     for model, table in tables.items():
         assert trace_table(model, 20001) == table
+    assert trace_batches == [(1, primes_up_to(20001))] * 2
 
 
 # the batched naive kernel's oracle batch: corpus curves, the j = 0 and j = 1728
@@ -389,22 +392,108 @@ def test_naive_batch_in_row_steps(monkeypatch):
 
     monkeypatch.setattr(curve, "_RESIDUES", 3 * 97)
     monkeypatch.setattr(curve, "_affine_counts", recording)
+    curve._STORE.clear()  # else the store serves the tables without counting
     assert trace_tables(NAIVE_BATCH, 100) == whole
     assert len(calls) == 3 * 23 and max(calls) <= 3 * 97
 
 
-def test_trace_table_is_the_batch_of_one():
+def test_trace_table_is_the_batch_of_one(trace_batches):
     tables = trace_tables([*NAIVE_BATCH, global_reduce(E37)], 5000)
+    assert trace_batches == [(len(NAIVE_BATCH), primes_up_to(5000))]  # 37a once
     for model, table in zip(NAIVE_BATCH, tables):
+        curve._STORE.clear()  # each curve counted alone
         assert trace_table(model, 5000) == table
+    assert trace_batches[1:] == [(1, primes_up_to(5000))] * len(NAIVE_BATCH)
     assert tables[-1].model == global_reduce(E37).minimal_model
     assert trace_tables([], 100) == []
+
+
+def _counted(curves, X):
+    """The curves' trace tables counted afresh, in an empty store of their own."""
+    return curve._TraceStore(1 << 20).tables(curves, X)
+
+
+def test_trace_store_slices_a_smaller_bound(corpus, trace_batches):
+    reds = [r.reduction for r in corpus.records[:6]]
+    trace_tables(reds, 1000)
+    tables = trace_tables(reds, 300)
+    assert trace_batches == [(6, primes_up_to(1000))]  # the smaller bound counted nothing
+    assert tables == _counted(reds, 300)
+
+
+def test_trace_store_extends_by_the_new_primes_only(corpus, trace_batches):
+    reds = [r.reduction for r in corpus.records[:6]]
+    trace_tables(reds, 75)
+    tables = trace_tables(reds, 1000)
+    assert trace_batches[1:] == [(6, [p for p in primes_up_to(1000) if p > 75])]
+    assert curve._STORE.size == 6 * len(primes_up_to(1000))
+    assert tables == _counted(reds, 1000)
+
+
+def test_trace_store_evicts_the_least_recent_under_its_bound(corpus):
+    store = curve._TraceStore(500)  # room for two tables of 168 a_p, not three
+    reds = [r.reduction for r in corpus.records[:5]]
+    for red in reds:
+        assert store.tables([red], 1000) == _counted([red], 1000)
+        assert store.size <= 500
+    kept = {key: len(aps) for key, (_, aps) in store._rows.items()}
+    assert list(kept) == [red.minimal_model.ainvs() for red in reds[-2:]]
+    assert store.size == sum(kept.values()) == 2 * 168
+    # a request larger than the bound is answered whole, then trimmed
+    assert store.tables(reds, 1000) == _counted(reds, 1000)
+    assert store.size <= 500
+
+
+def test_trace_store_keeps_one_table_per_minimal_model(trace_batches):
+    # 37a and a model of it that is not minimal at 2 share one entry, and each
+    # table carries the model asked for, or the minimal one for a reduction
+    scaled = WeierstrassModel(0, 0, 8, -16, 0)
+    t1, t2 = trace_table(E37, 200), trace_table(scaled, 200)
+    t3, t4 = trace_tables([global_reduce(E37), global_reduce(scaled)], 200)
+    assert len(trace_batches) == 1 and curve._STORE.size == len(primes_up_to(200))
+    assert (t1.model, t2.model, t3.model, t4.model) == (E37, scaled, E37, E37)
+    assert t3 == t4 == t1
+    assert (t2.good, t2.ramified) == (t1.good, t1.ramified)
+
+
+def test_repeated_trace_table_counts_no_prime(trace_batches):
+    table = trace_table(E37, 1000)
+    same, pair = trace_table(E37, 1000), trace_tables([E37, E37], 1000)
+    smaller = trace_table(E37, 500)
+    assert trace_batches == [(1, primes_up_to(1000))]
+    assert same == table and pair == [table, table]
+    assert smaller == _counted([E37], 500)[0]
+
+
+def test_trace_table_extends_a_stored_table_over_the_new_primes(trace_batches):
+    trace_table(E37, 20001)
+    table = trace_table(E37, 10**5)
+    assert trace_batches[1:] == [(1, [p for p in primes_up_to(10**5) if p > 20001])]
+    assert table == _counted([E37], 10**5)[0]
+
+
+def test_served_tables_share_no_dicts():
+    table = trace_table(E37, 100)
+    table.good[2] = 99
+    table.ramified.clear()
+    for again in (trace_table(E37, 100), *trace_tables([E37], 50)):
+        assert again.good[2] == -2 and again.ramified == {37: -1}
+
+
+def test_trace_table_alone_evicts_under_the_bound(corpus, monkeypatch):
+    monkeypatch.setattr(curve, "_STORE", curve._TraceStore(500))
+    reds = [r.reduction for r in corpus.records[:5]]
+    for red in reds:
+        trace_table(red, 1000)
+        assert curve._STORE.size <= 500
+    assert list(curve._STORE._rows) == [red.minimal_model.ainvs() for red in reds[-2:]]
 
 
 def test_trace_table_memory_is_bounded_by_the_pass_size():
     # one pass of 512 lanes holds ~40 residues per lane at these primes; the
     # 1,345 lanes of 15 bits in one pass would take the peak above 2 MB
     trace_table(E37, 2000)
+    curve._STORE.clear()  # count the whole table below
     tracemalloc.start()
     try:
         table = trace_table(E37, 30000)

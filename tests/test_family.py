@@ -6,10 +6,8 @@ import random
 import tracemalloc
 from collections import Counter
 
-import numpy as np
 import pytest
 
-import ellgal.curve as curve
 import ellgal.family as family
 import ellgal.localdata as localdata
 from ellgal.arith import kronecker, least_nonresidue, primes_up_to
@@ -132,70 +130,10 @@ def test_cm_filter_agrees_with_zero_share_oracle(corpus):
     assert {r.label for r in sample if _zero_share_is_cm(r)} == cm
 
 
-def _counting_kernels(monkeypatch):
-    """Record the primes the batched naive kernel counts and each batch the store asks for."""
-    counted, batches = [], []
-    kernel, traces = curve._affine_counts, family._traces
-
-    def kernel_spy(A, B, p):
-        counted.extend([p] * np.size(A))
-        return kernel(A, B, p)
-
-    def traces_spy(reductions, after, X):
-        batches.append((len(reductions), after, X))
-        return traces(reductions, after, X)
-
-    monkeypatch.setattr(curve, "_affine_counts", kernel_spy)
-    monkeypatch.setattr(family, "_traces", traces_spy)
-    return counted, batches
-
-
-def test_cm_filter_builds_only_fingerprint_tables(corpus, monkeypatch):
-    _, batches = _counting_kernels(monkeypatch)
+def test_cm_filter_builds_only_fingerprint_tables(corpus, trace_batches):
     fam = build_family(corpus, "cmOnly", 10**4)
-    assert batches == [(len(fam.records), 0, 75)]  # one batch of fingerprint tables
-
-
-def test_trace_store_slices_a_smaller_bound(corpus, monkeypatch):
-    reds = [r.reduction for r in corpus.records[:6]]
-    family._STORE.tables(reds, 1000)
-    counted, batches = _counting_kernels(monkeypatch)
-    tables = family._STORE.tables(reds, 300)
-    assert counted == [] and batches == []
-    assert tables == [trace_table(red, 300) for red in reds]
-
-
-def test_trace_store_extends_by_the_new_primes_only(corpus, monkeypatch):
-    reds = [r.reduction for r in corpus.records[:6]]
-    family._STORE.tables(reds, 75)
-    counted, batches = _counting_kernels(monkeypatch)
-    tables = family._STORE.tables(reds, 1000)
-    assert batches == [(6, 75, 1000)]
-    assert set(counted) == {p for p in primes_up_to(1000) if p > 75}
-    assert len(counted) == 6 * len(set(counted))
-    assert tables == [trace_table(red, 1000) for red in reds]
-    assert family._STORE.size == 6 * len(primes_up_to(1000))
-
-
-def test_trace_store_evicts_the_least_recent_under_its_bound(corpus):
-    store = family._TraceStore(500)  # room for two tables of 168 a_p, not three
-    reds = [r.reduction for r in corpus.records[:5]]
-    for red in reds:
-        assert store.tables([red], 1000) == [trace_table(red, 1000)]
-        assert store.size <= 500
-    kept = {key: len(aps) for key, (_, aps) in store._rows.items()}
-    assert list(kept) == [red.minimal_model.ainvs() for red in reds[-2:]]
-    assert store.size == sum(kept.values()) == 2 * 168
-    # a request larger than the bound is answered whole, then trimmed
-    assert store.tables(reds, 1000) == [trace_table(red, 1000) for red in reds]
-    assert store.size <= 500
-
-
-def test_trace_store_keeps_one_table_per_minimal_model():
-    # 37a and a model of it that is not minimal at 2 share one entry
-    reds = [global_reduce(WeierstrassModel(*a)) for a in ((0, 0, 1, -1, 0), (0, 0, 8, -16, 0))]
-    t1, t2 = family._STORE.tables(reds, 200)
-    assert t1 == t2 and family._STORE.size == len(primes_up_to(200))
+    # one batch of fingerprint tables
+    assert trace_batches == [(len(fam.records), primes_up_to(75))]
 
 
 def test_pair_statistics_deterministic(family_all):
