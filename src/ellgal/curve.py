@@ -7,6 +7,7 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -21,21 +22,26 @@ class BadReduction(Exception):
     pass
 
 
-# naive char-sum counting below this, baby-step/giant-step above: batched over a
-# trace table's primes, scalar for one prime.  Microseconds per prime on four
-# curves (37a, 389a, 11a, [1,-1,1,-1,-14]), naive / batched / scalar, 2 vCPU:
-#   [1024, 2048) 41/46/74   [2048, 3072) 59/40/92   [3072, 4096) 77/40/94
-#   [4096, 5120) 94/33/106  [5120, 6144) 111/32/106 [6144, 8192) 131/32/112
-# From 4096 the batch is ~3x faster and a single prime's scalar count is
-# within ~10% of the naive one; below it the scalar count falls further behind.
+# Naive char-sum counting below a crossover, baby-step/giant-step from it on.
+#
+# Trace tables count their primes in batches.  Microseconds per prime on four
+# curves (37a, 389a, 11a, [1,-1,1,-1,-14]), naive / BSGS batch, 2 vCPU:
+#   [1024, 2048) 41/46  [2048, 3072) 59/40  [3072, 4096) 77/40  [4096, 5120) 94/33
 # A table's naive primes are counted for all its curves at once.  Microseconds
 # per (curve, prime) on the 24 corpus-scan curves of seed 1, naive batch / BSGS
 # batch (lanes of all 24 curves), best of two runs of five, 2 vCPU:
 #   [1024, 2048) 18/18   [2048, 3072) 30/21   [3072, 4096) 39/17
 #   [4096, 5120) 48/17   [5120, 6144) 63/19   [6144, 8192) 80/22
-# A batch of one is no slower than the scalar naive count.  For tables alone
-# the BSGS batch would take over from 2048, but count_points shares this
-# constant and its scalar BSGS is the slower route up to 4096.
+# A batch of one is no slower than the scalar naive count.
+TABLE_CROSSOVER = 2048
+# count_points counts one prime: _count_naive_short against the scalar
+# _count_bsgs.  Microseconds per prime on the same four curves, every third
+# prime of the band, best of three, in two runs on 2 vCPU:
+#   [2048, 3072) 48/58 61/97      [3072, 4096) 60/67 75/107
+#   [4096, 5120) 83/67 94/107     [5120, 6144) 89/68 111/108
+#   [6144, 8192) 116/73 137/117   [8192, 12288) 162/86 192/126
+# The scalar BSGS first wins from 4096 or 5120, and is never more than 14%
+# slower from 4096 on, while below 4096 it loses by 12-59%.
 NAIVE_CROSSOVER = 4096
 
 
@@ -124,13 +130,13 @@ def _count_naive_short(A, B, p):
 
 
 _RESIDUES = 1 << 18  # (curve, x) pairs per naive kernel call at most, which bounds its memory
-_X = np.arange(NAIVE_CROSSOVER, dtype=np.int64)
+_X = np.arange(TABLE_CROSSOVER, dtype=np.int64)
 _XX, _XXX = _X * _X, _X * _X * _X  # not reduced: x^3 + Ax + B < p^3 + p^2 fits int64
 
 
 def _affine_counts(A, B, p):
     """#{(x, y) in F_p^2 : y^2 = x^3 + A[k]x + B[k]} for each row k, at a prime
-    5 <= p < NAIVE_CROSSOVER; #E(F_p) is one more, the point at infinity.
+    5 <= p < TABLE_CROSSOVER; #E(F_p) is one more, the point at infinity.
 
     A and B are residues mod p: int64 columns (shape (rows, 1)), which give a
     list of counts, or ints for a single row, which give one count.  One
@@ -505,22 +511,52 @@ def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int
     return _checked_trace(p, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class TraceTable:
+    """a_p at every prime up to `bound`, as two aligned tuples.
+
+    `aps[i]` is a_p at `primes[i]`: the Frobenius trace at a good prime, the
+    local coefficient in {-1, 0, 1} at a prime in `bad`, the primes <= bound
+    that divide the conductor.  Any two tables are aligned by index up to
+    the smaller bound, and the tables of one request share one `primes`.  The
+    dict views `good` and `ramified` are built on first use.
+    """
+
     model: WeierstrassModel
     bound: int
-    good: dict  # p -> a_p
-    ramified: dict  # p -> local a_p in {-1, 0, 1}
+    primes: tuple  # every prime <= bound, ascending
+    aps: tuple
+    bad: frozenset
 
-    def trace(self, p):
-        if p in self.good:
-            return self.good[p]
-        if p in self.ramified:
-            return self.ramified[p]
-        raise KeyError(p)
+    def __repr__(self):
+        return (
+            f"TraceTable({self.model!r}, bound={self.bound}, "
+            f"{len(self.primes)} primes, bad={sorted(self.bad)})"
+        )
+
+    @cached_property
+    def good(self) -> dict:
+        """p -> a_p at the good primes, ascending."""
+        return {p: a for p, a in zip(self.primes, self.aps) if p not in self.bad}
+
+    @cached_property
+    def ramified(self) -> dict:
+        """p -> the local a_p in {-1, 0, 1} at the bad primes, ascending."""
+        return {p: self.trace(p) for p in sorted(self.bad)}
+
+    @cached_property
+    def _good_primes(self):
+        return tuple(p for p in self.primes if p not in self.bad)
 
     def good_primes(self):
-        return sorted(self.good)
+        """The good primes <= bound, ascending."""
+        return self._good_primes
+
+    def trace(self, p):
+        i = bisect_left(self.primes, p)
+        if i == len(self.primes) or self.primes[i] != p:
+            raise KeyError(p)
+        return self.aps[i]
 
 
 _LOCAL_TRACE = {"multSplit": 1, "multNonsplit": -1, "additive": 0}
@@ -531,14 +567,14 @@ def _traces(reductions, primes):
 
     Returns one list per reduction, aligned with `primes`: the count at a good
     prime, the local coefficient at a bad one.  The curves are counted
-    together.  Below NAIVE_CROSSOVER each `_affine_counts` call takes one prime
+    together.  Below TABLE_CROSSOVER each `_affine_counts` call takes one prime
     for as many curves as _RESIDUES allows, their coefficients reduced mod
     every prime of the band up front; from there on all their good primes
     share the BSGS passes, in lanes that mix curves.
     """
     models = [red.minimal_model for red in reductions]
     shorts = [(-27 * c4, -54 * c6) for c4, c6 in (E.c_invariants() for E in models)]
-    lo, hi = bisect_left(primes, 5), bisect_left(primes, NAIVE_CROSSOVER)
+    lo, hi = bisect_left(primes, 5), bisect_left(primes, TABLE_CROSSOVER)
     band = primes[lo:hi]
     P = np.array(band, dtype=np.int64)[:, None]
     step = max(1, _RESIDUES // max(band, default=1))
@@ -602,7 +638,7 @@ class _TraceStore:
         self.size = 0
 
     def tables(self, curves, X):
-        """trace_table(curve, X) of each curve, each with dicts of its own."""
+        """trace_table(curve, X) of each curve, all sharing one tuple of primes."""
         from . import localdata
 
         pairs = [
@@ -616,7 +652,7 @@ class _TraceStore:
             bound = self._rows[key][0] if key in self._rows else -math.inf
             if bound < X:
                 short.setdefault(bound, {})[key] = red
-        primes = primes_up_to(X)
+        primes = tuple(primes_up_to(X))
         for after, group in short.items():
             rows = _traces(list(group.values()), primes[bisect_right(primes, after) :])
             for key, row in zip(group, rows):
@@ -626,9 +662,9 @@ class _TraceStore:
         tables = []
         for key, (model, red) in zip(keys, pairs):
             self._rows.move_to_end(key)
-            good = dict(zip(primes, self._rows[key][1][: len(primes)].tolist()))
-            ramified = {p: good.pop(p) for p in red.locals if p in good}
-            tables.append(TraceTable(model, X, good, ramified))
+            aps = tuple(self._rows[key][1][: len(primes)].tolist())
+            bad = frozenset(p for p in red.locals if p <= X)
+            tables.append(TraceTable(model, X, primes, aps, bad))
         while self.size > self.capacity:
             self.size -= len(self._rows.popitem(last=False)[1][1])
         return tables

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import kronecker, least_nonresidue, primes_up_to, smallest_prime_factors
+from .arith import kronecker, least_nonresidue, smallest_prime_factors
 from .curve import SingularModel, WeierstrassModel, trace_tables
 from .curve import trace_table  # noqa: F401  (kept as family.trace_table)
 from .galois import pair_bound, pair_witness
@@ -137,8 +137,7 @@ def _passes(record: CurveRecord, tag: str) -> bool:
 
 def _fingerprints(records):
     """Each record's a_p (local coefficients at bad primes) for p <= 75."""
-    primes = primes_up_to(75)
-    return [tuple(map(t.trace, primes)) for t in trace_tables([r.reduction for r in records], 75)]
+    return [t.aps for t in trace_tables([r.reduction for r in records], 75)]
 
 
 def build_family(corpus: Corpus, tag: str, ceiling: int) -> Family:
@@ -236,10 +235,10 @@ def validate_cm_bases():
         if model.j_invariant() != CM_BASES[D][1]:
             raise RuntimeError(f"stored model for D={D} has wrong j-invariant")
     for D, table in zip(CM_BASES, trace_tables(models, 500)):
-        for p in table.good_primes():
-            if p < 5:
+        for p, ap in zip(table.primes, table.aps):
+            if p < 5 or p in table.bad:
                 continue
-            if (table.good[p] == 0) != (kronecker(D, p) == -1):
+            if (ap == 0) != (kronecker(D, p) == -1):
                 raise RuntimeError(f"CM vanishing pattern fails for D={D} at p={p}")
     _BASES_VALIDATED = True
 

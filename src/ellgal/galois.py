@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .arith import factorize, is_prime, kronecker, primes_up_to
@@ -131,15 +132,19 @@ def image_test(red: GlobalReduction, table: TraceTable, ell: int, X: int | None 
     if ell == 3 or not is_prime(ell) or ell < 2:
         raise ValueError(f"unsupported ell = {ell}")
 
+    # The scan stops once every certificate holds: the three witnesses are the
+    # least primes with their property, and residues only ever add generators.
     cert_a = cert_b = cert_c = None  # witness primes
-    samples = 0
     dets = set()
+    checked = 0  # len(dets) when the determinant was last decided
+    det_ok = False
     nonzero_traces = 0
-    for p in table.good_primes():
-        if p > X or p == ell:
+    for p, ap in zip(table.primes, table.aps):
+        if p > X:
+            break
+        if p == ell or p in table.bad:
             continue
-        ap = table.good[p] % ell
-        samples += 1
+        ap %= ell
         dets.add(p % ell)
         disc = (ap * ap - 4 * p) % ell
         disc_symbol = kronecker(disc, ell)
@@ -152,7 +157,15 @@ def image_test(red: GlobalReduction, table: TraceTable, ell: int, X: int | None 
             u = ap * ap * pow(p, -1, ell) % ell
             if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % ell != 0 and cert_c is None:
                 cert_c = p
-    det_ok = _det_surjective(dets, ell)
+        if cert_a and cert_b and cert_c and len(dets) > checked:
+            checked = len(dets)
+            det_ok = _det_surjective(dets, ell)
+            if det_ok:
+                break
+    if len(dets) > checked:
+        det_ok = _det_surjective(dets, ell)
+    # the good primes <= X other than ell, whether or not the scan stopped early
+    samples = bisect_right(table.primes, X) - sum(q <= X for q in table.bad | {ell})
     certs = {
         "nonsquareDisc": cert_a,
         "squareDisc": cert_b,
@@ -184,11 +197,10 @@ def pair_witness(t1: TraceTable, t2: TraceTable, X: int) -> PairWitness | None:
     """
     _check_bound(t1, X)
     _check_bound(t2, X)
-    for p in t1.good_primes():
-        if p > X or p not in t2.good:
-            continue
-        a1, a2 = t1.good[p], t2.good[p]
-        if abs(a1) != abs(a2):
+    for p, a1, a2 in zip(t1.primes, t1.aps, t2.aps):
+        if p > X:
+            break
+        if abs(a1) != abs(a2) and p not in t1.bad and p not in t2.bad:
             return PairWitness(p, a1, a2)
     return None
 
@@ -201,10 +213,11 @@ def joint_surjectivity_test(red1, t1, red2, t2, ell, X=None) -> JointResult:
         if rep.verdict != "surjective":
             return JointResult("failed", "single-curve-image", None)
     same_abs = True
-    for p in t1.good_primes():
-        if p > X or p == ell or p not in t2.good:
+    for p, a1, a2 in zip(t1.primes, t1.aps, t2.aps):
+        if p > X:
+            break
+        if p == ell or p in t1.bad or p in t2.bad:
             continue
-        a1, a2 = t1.good[p], t2.good[p]
         if abs(a1) != abs(a2):
             same_abs = False
         if (a1 - a2) % ell != 0 and (a1 + a2) % ell != 0:
@@ -273,6 +286,9 @@ def epsilon_candidates(red: GlobalReduction, ell: int) -> EpsilonCandidateSet:
 
 def prune_epsilon(cands: EpsilonCandidateSet, table: TraceTable, ell: int) -> EpsilonCandidateSet:
     """Keep moduli m with: chi_m(p) = -1 implies ell | a_p, over every good p in the table."""
+    good = [
+        (p, ap % ell) for p, ap in zip(table.primes, table.aps) if p != ell and p not in table.bad
+    ]
     survivors = []
     counts = {}
     for m in cands.candidates:
@@ -280,11 +296,9 @@ def prune_epsilon(cands: EpsilonCandidateSet, table: TraceTable, ell: int) -> Ep
             continue  # square modulus: trivial character, can never be epsilon
         tested = 0
         alive = True
-        for p in table.good_primes():
-            if p == ell:
-                continue
+        for p, r in good:
             if kronecker(m, p) == -1:
-                if table.good[p] % ell != 0:
+                if r != 0:
                     alive = False
                     break
                 tested += 1
@@ -301,11 +315,11 @@ def script_l_scan(red: GlobalReduction, table: TraceTable, window, X=None) -> Sc
     _check_bound(table, X)
     if isinstance(window, int):
         window = primes_up_to(window)
-    window = sorted(set(window))
+    window = set(window)
     apg = {p for p, loc in red.locals.items() if loc.red_type == "additive" and loc.pot_good}
     ells = []
     survivors = {}
-    for ell in window:
+    for ell in sorted(window):
         if ell % 4 != 1 or ell < 5 or ell in apg:
             continue
         try:
@@ -323,11 +337,10 @@ def script_l_scan(red: GlobalReduction, table: TraceTable, window, X=None) -> Sc
     if not ells:
         return ScriptLReport((), None, None, 1, True)
     prod = math.prod(ells)
-    for p in table.good_primes():
+    for p, ap in zip(table.primes, table.aps):
         if p > X:
             break
-        ap = table.good[p]
-        if ap == 0 or p in window:
+        if ap == 0 or p in window or p in table.bad:
             continue
         if all(any(kronecker(m, p) == -1 for m in survivors[l]) for l in ells):
             consistent = ap % prod == 0 and prod * prod <= 4 * p

@@ -92,15 +92,15 @@ def von_mangoldt(t1: TraceTable, t2: TraceTable, X: int) -> VonMangoldtSeries:
     _check_bound(t1, X)
     _check_bound(t2, X)
     entries = {}
-    ram = sorted(
-        p for p in set(t1.ramified) | set(t2.ramified) if p <= X
-    )
-    for p in t1.good_primes():
-        if p > X or p not in t2.good:
+    ram = sorted(p for p in t1.bad | t2.bad if p <= X)
+    for p, a1, a2 in zip(t1.primes, t1.aps, t2.aps):
+        if p > X:
+            break
+        if p in t1.bad or p in t2.bad:
             continue
         kmax = _max_exponent(p, X)
-        Q1 = _satake_numerators(t1.good[p], p, kmax)
-        Q2 = _satake_numerators(t2.good[p], p, kmax)
+        Q1 = _satake_numerators(a1, p, kmax)
+        Q2 = _satake_numerators(a2, p, kmax)
         logp = math.log(p)
         for k in range(1, kmax + 1):
             # P_k(t1) P_k(t2) is the rational Q1_k Q2_k / p^k, rounded once
@@ -224,9 +224,9 @@ def linnik_scan(table1: TraceTable, table2: TraceTable = None, chi: int = None, 
         return None if w is None else w.p
     if chi is None:
         raise ValueError("need a second curve or a character modulus")
-    for p in table1.good_primes():
+    for p, ap in zip(table1.primes, table1.aps):
         if p > bound:
             break
-        if kronecker(chi, p) == -1 and table1.good[p] != 0:
+        if ap != 0 and p not in table1.bad and kronecker(chi, p) == -1:
             return p
     return None

@@ -592,7 +592,7 @@ def test_tate_rescales_until_minimal(runner):
 def test_bsgs_order_not_pinned_exit_code_2(runner, monkeypatch):
     import ellgal.curve as curve
 
-    monkeypatch.setattr(curve, "NAIVE_CROSSOVER", 700)
+    monkeypatch.setattr(curve, "TABLE_CROSSOVER", 700)
     monkeypatch.setattr(curve, "_point_order", lambda P, A, p, lo, hi: 1)
     # the batched lanes would pin p = 701 on their own: leave every one to _count_bsgs
     monkeypatch.setattr(curve, "_count_bsgs_batch", lambda A, B, primes: [None] * len(primes))

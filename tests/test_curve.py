@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -12,6 +14,7 @@ from ellgal.arith import is_prime, kronecker, least_nonresidue, primes_up_to
 from ellgal.curve import (
     LANE_LIMIT,
     NAIVE_CROSSOVER,
+    TABLE_CROSSOVER,
     BadReduction,
     SingularModel,
     WeierstrassModel,
@@ -243,18 +246,23 @@ def test_bsgs_pinned_large_primes():
 
 
 def test_routes_agree_around_naive_crossover(corpus):
-    # auto switches from the naive count to BSGS inside this window
-    primes = [p for p in primes_up_to(NAIVE_CROSSOVER + 500) if p >= NAIVE_CROSSOVER - 500]
-    assert primes[0] < NAIVE_CROSSOVER < primes[-1]
+    # count_points switches from the naive count to BSGS inside the first
+    # window, and trace tables from the naive batch to the BSGS lanes inside the second
     records = corpus.records
-    for rec in (records[0], records[len(records) // 2], records[-1]):
-        model = rec.reduction.minimal_model
-        for p in primes:
-            if rec.reduction.conductor % p == 0:
-                continue
-            auto = count_points(model, p)
-            assert auto == count_points(model, p, strategy="naive"), (rec.label, p)
-            assert auto == count_points(model, p, strategy="bsgs"), (rec.label, p)
+    reds = [r.reduction for r in (records[0], records[len(records) // 2], records[-1])]
+    for crossover in (NAIVE_CROSSOVER, TABLE_CROSSOVER):
+        primes = [p for p in primes_up_to(crossover + 500) if p >= crossover - 500]
+        assert primes[0] < crossover < primes[-1]
+        tables = trace_tables(reds, primes[-1])
+        for red, table in zip(reds, tables):
+            model = red.minimal_model
+            for p in primes:
+                if red.conductor % p == 0:
+                    continue
+                auto = count_points(model, p)
+                assert auto == table.trace(p), (model.ainvs(), p)
+                assert auto == count_points(model, p, strategy="naive"), (model.ainvs(), p)
+                assert auto == count_points(model, p, strategy="bsgs"), (model.ainvs(), p)
 
 
 def _short(model):
@@ -560,6 +568,29 @@ def test_trace_table_contents():
     assert t.trace(2) == -2 and t.trace(37) == -1
     t11 = trace_table(E11, 50)
     assert t11.ramified == {11: 1}  # split multiplicative
+
+
+def test_trace_table_columns_views_and_repr():
+    t = trace_table(E37, 100)
+    assert t.primes == tuple(primes_up_to(100)) and len(t.aps) == len(t.primes)
+    assert t.bad == {37} and t.aps[t.primes.index(37)] == -1
+    # the views are plain dicts of ints in ascending p, as json.dumps and the CLI read them
+    for view in (t.good, t.ramified):
+        assert type(view) is dict and list(view) == sorted(view)
+        assert all(type(p) is int and type(a) is int for p, a in view.items())
+    assert json.loads(json.dumps(t.good)) == {str(p): a for p, a in t.good.items()}
+    assert tuple(t.good) == t.good_primes()
+    assert t.good == {p: t.trace(p) for p in t.good_primes()}
+    for p in (1, 4, 37 * 2, 101, 10**6):
+        with pytest.raises(KeyError):
+            t.trace(p)
+    # equal on model, bound and a_p
+    assert t == trace_table(E37, 100) and t != trace_table(E37, 97)
+    assert t != dataclasses.replace(t, aps=(99, *t.aps[1:]))
+    assert repr(t) == (
+        "TraceTable(WeierstrassModel(a1=0, a2=0, a3=1, a4=-1, a6=0), bound=100, "
+        "25 primes, bad=[37])"
+    )
 
 
 def _legendre_sum_trace(model, p):

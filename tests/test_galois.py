@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import galois_reference
 from ellgal.arith import kronecker, primes_up_to
-from ellgal.curve import WeierstrassModel, quadratic_twist, trace_table
+from ellgal.curve import WeierstrassModel, quadratic_twist, trace_table, trace_tables
+from ellgal.family import CM_BASES
 from ellgal.galois import (
     InsufficientSamples,
     NoCommonWitness,
@@ -295,6 +297,49 @@ def test_script_l_scan_cm_has_no_common_witness():
     red, table = _red_and_table(E27, 2000)
     with pytest.raises(NoCommonWitness):
         script_l_scan(red, table, 50, 2000)
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except InsufficientSamples as exc:
+        return str(exc)
+
+
+# conductor 128: its witnesses at 11 are p = 3, 5, whose residues are squares mod 11,
+# so the determinant is decided only at p = 7; a scan that stopped at the
+# witnesses alone would report detSurjective False
+WITNESSES_FIRST = WeierstrassModel(0, -1, 0, -9, -7)
+
+
+def test_scans_match_the_full_scan_reference(corpus):
+    # corpus curves, CM curves (a_p = 0 at half the primes), 11a (reducible at 5)
+    # and 37a, at the table's bound and below it, with ell both below and above X
+    models = [r.reduction.minimal_model for r in corpus.records[::25]]
+    models += [WeierstrassModel(*a) for a, _ in CM_BASES.values()]
+    models += [E27, E11, E37, WITNESSES_FIRST]
+    reds = [global_reduce(m) for m in models]
+    tables = trace_tables(reds, 1000)
+    verdicts = set()
+    for red, table in zip(reds, tables):
+        for ell in (5, 7, 11, 13, 17, 1000003):
+            for X in (1000, 300, 40):
+                got = _outcome(image_test, red, table, ell, X)
+                assert got == _outcome(galois_reference.image_test, red, table, ell, X), (
+                    red.minimal_model.ainvs(),
+                    ell,
+                    X,
+                )
+                verdicts.add(getattr(got, "verdict", "insufficient"))
+            if ell < 1000:
+                cands = epsilon_candidates(red, ell)
+                assert prune_epsilon(cands, table, ell) == galois_reference.prune_epsilon(
+                    cands, table, ell
+                )
+    assert verdicts == {"surjective", "nonsurjectiveWitnessed", "undetermined", "insufficient"}
+    rep = image_test(reds[-1], tables[-1], 11)
+    assert rep.verdict == "surjective" and rep.certificates["exceptionalExcluded"] == 5
+    assert _det_surjective({3, 5}, 11) is False
 
 
 def test_det_surjectivity_checked():
