@@ -76,11 +76,8 @@ def primes_up_to(bound: int) -> list[int]:
 def smallest_prime_factors(bound: int) -> list[int]:
     """spf[n] = least prime factor of n for 2 <= n <= bound (spf[0] = 0, spf[1] = 1)."""
     spf = list(range(bound + 1))
-    for p in range(2, math.isqrt(bound) + 1):
-        if spf[p] == p:
-            for m in range(p * p, bound + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
+    for p in reversed(primes_up_to(math.isqrt(bound))):  # the least prime writes last
+        spf[p * p :: p] = [p] * len(range(p * p, bound + 1, p))
     return spf
 
 
@@ -303,10 +300,6 @@ def class_number_one_discriminants(floor: int = -200) -> list[int]:
     """All discriminants D with floor <= D < 0 and class number 1."""
     out = []
     for D in range(floor, 0):
-        if D % 4 in (0, 1):
-            try:
-                if class_number(D) == 1:
-                    out.append(D)
-            except ValueError:
-                pass
+        if D % 4 in (0, 1) and class_number(D) == 1:
+            out.append(D)
     return out

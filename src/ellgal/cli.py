@@ -130,8 +130,8 @@ def ap(curve, bound, fmt):
         {
             "conductor": red.conductor,
             "bound": bound,
-            "good": {str(p): table.good[p] for p in table.good_primes()},
-            "ramified": {str(p): table.ramified[p] for p in sorted(table.ramified)},
+            "good": {str(p): a for p, a in table.good.items()},
+            "ramified": {str(p): a for p, a in table.ramified.items()},
         },
         fmt,
     )

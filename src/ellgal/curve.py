@@ -32,11 +32,12 @@ class BadReduction(Exception):
 # batch (lanes of all 24 curves), best of two runs of five, 2 vCPU:
 #   [1024, 2048) 18/18   [2048, 3072) 30/21   [3072, 4096) 39/17
 #   [4096, 5120) 48/17   [5120, 6144) 63/19   [6144, 8192) 80/22
-# A batch of one is no slower than the scalar naive count.
 TABLE_CROSSOVER = 2048
-# count_points counts one prime: _count_naive_short against the scalar
-# _count_bsgs.  Microseconds per prime on the same four curves, every third
-# prime of the band, best of three, in two runs on 2 vCPU:
+# count_points counts one prime: the naive kernel `_affine_counts` on one row
+# against the scalar _count_bsgs.  Microseconds per prime on the same four
+# curves, every third prime of the band, best of three, in two runs on 2 vCPU
+# (taken with a former scalar naive count, which the kernel matches within 2%
+# over [2048, 4096)):
 #   [2048, 3072) 48/58 61/97      [3072, 4096) 60/67 75/107
 #   [4096, 5120) 83/67 94/107     [5120, 6144) 89/68 111/108
 #   [6144, 8192) 116/73 137/117   [8192, 12288) 162/86 192/126
@@ -119,31 +120,22 @@ def _count_naive_23(model, p):
     return n
 
 
-def _count_naive_short(A, B, p):
-    """#E(F_p) for y^2 = x^3 + Ax + B, p >= 5, via quadratic-character sums."""
-    A %= p
-    B %= p
-    x = np.arange(p, dtype=np.int64)
-    sq = x * x % p
-    counts = np.bincount(sq, minlength=p)  # counts[z] = #{y in F_p : y^2 = z}
-    return int(counts[((sq + A) * x + B) % p].sum()) + 1
-
-
 _RESIDUES = 1 << 18  # (curve, x) pairs per naive kernel call at most, which bounds its memory
-_X = np.arange(TABLE_CROSSOVER, dtype=np.int64)
-_XX, _XXX = _X * _X, _X * _X * _X  # not reduced: x^3 + Ax + B < p^3 + p^2 fits int64
 
 
 def _affine_counts(A, B, p):
     """#{(x, y) in F_p^2 : y^2 = x^3 + A[k]x + B[k]} for each row k, at a prime
-    5 <= p < TABLE_CROSSOVER; #E(F_p) is one more, the point at infinity.
+    p >= 5; #E(F_p) is one more, the point at infinity.
 
     A and B are residues mod p: int64 columns (shape (rows, 1)), which give a
     list of counts, or ints for a single row, which give one count.  One
-    square-count table serves every row.
+    square-count table serves every row.  (x^2 mod p + A)x + B < 2p^2 + p fits
+    int64 for every p < 2^31.
     """
-    counts = np.bincount(_XX[:p] % p, minlength=p)  # counts[z] = #{y in F_p : y^2 = z}
-    f = _XXX[:p] + A * _X[:p] + B
+    x = np.arange(p, dtype=np.int64)
+    xx = x * x % p
+    counts = np.bincount(xx, minlength=p)  # counts[z] = #{y in F_p : y^2 = z}
+    f = (xx + A) * x + B
     f %= p
     return np.add.reduce(counts[f], axis=-1).tolist()
 
@@ -505,7 +497,7 @@ def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int
     if p < 5:
         n = _count_naive_23(E, p)
     elif strategy == "naive" or (strategy == "auto" and p < NAIVE_CROSSOVER):
-        n = _count_naive_short(E.a4, E.a6, p)
+        n = _affine_counts(E.a4 % p, E.a6 % p, p) + 1
     else:
         n = _count_bsgs(E.a4 % p, E.a6 % p, p)
     return _checked_trace(p, n)
@@ -544,13 +536,9 @@ class TraceTable:
         """p -> the local a_p in {-1, 0, 1} at the bad primes, ascending."""
         return {p: self.trace(p) for p in sorted(self.bad)}
 
-    @cached_property
-    def _good_primes(self):
-        return tuple(p for p in self.primes if p not in self.bad)
-
     def good_primes(self):
         """The good primes <= bound, ascending."""
-        return self._good_primes
+        return tuple(self.good)
 
     def trace(self, p):
         i = bisect_left(self.primes, p)

@@ -129,7 +129,7 @@ def image_test(red: GlobalReduction, table: TraceTable, ell: int, X: int | None 
     _check_bound(table, X)
     if ell == 2:
         return _image_test_mod2(red, X)
-    if ell == 3 or not is_prime(ell) or ell < 2:
+    if ell == 3 or not is_prime(ell):
         raise ValueError(f"unsupported ell = {ell}")
 
     # The scan stops once every certificate holds: the three witnesses are the

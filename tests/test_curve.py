@@ -20,7 +20,6 @@ from ellgal.curve import (
     WeierstrassModel,
     _count_bsgs,
     _count_bsgs_batch,
-    _count_naive_short,
     _ec_add,
     _ec_mul,
     _point_order,
@@ -46,6 +45,11 @@ ORACLE_CURVES = (
     WeierstrassModel(0, 0, 1, 0, 0),
     WeierstrassModel(0, 0, 0, -1, 0),
 )
+
+
+def _naive_count(A, B, p):
+    """#E(F_p) for y^2 = x^3 + Ax + B, p >= 5, from the naive kernel."""
+    return curve._affine_counts(A % p, B % p, p) + 1
 
 
 def test_invariants_examples():
@@ -178,7 +182,7 @@ def test_point_order_contract():
             orders = {}
             for a, b, P in cases:
                 if (a, b) not in orders:
-                    orders[a, b] = _count_naive_short(a, b, p)
+                    orders[a, b] = _naive_count(a, b, p)
                 d = _point_order(P, a, p, lo, hi)
                 assert orders[a, b] % d == 0, (model.ainvs(), p, P)
                 killed = set()
@@ -202,18 +206,19 @@ def test_random_point_lies_on_curve_or_twist(p, A, B, state):
     # (r|p) = 1 and its quadratic twist, of order 2p + 2 - #E, when (r|p) = -1
     A, B = A % p, B % p
     assume((4 * A**3 + 27 * B * B) % p)
-    n = _count_naive_short(A, B, p)
+    n = _naive_count(A, B, p)
     for _ in range(4):
         (x, y), r, side, state = _random_point(A, B, p, state)
         a, b = A * r * r % p, B * r**3 % p
         assert r % p and side == kronecker(r, p)
         assert (y * y - x * x * x - a * x - b) % p == 0
-        assert _count_naive_short(a, b, p) == (n if side == 1 else 2 * p + 2 - n)
+        assert _naive_count(a, b, p) == (n if side == 1 else 2 * p + 2 - n)
 
 
 def test_bsgs_pinned_large_primes():
     # a_p from the factoring BSGS that preceded the current one; the values at
-    # 1000003 and 3000017 also agree with the naive count
+    # 1000003 and 3000017 also agree with the naive count (at 3000017, x^3
+    # itself would leave int64)
     pinned = {
         E37: {
             1000003: -51,
@@ -243,6 +248,8 @@ def test_bsgs_pinned_large_primes():
     for model, traces in pinned.items():
         for p, ap in traces.items():
             assert count_points(model, p) == ap, (model.ainvs(), p)
+        for p in (1000003, 3000017):
+            assert count_points(model, p, strategy="naive") == traces[p], (model.ainvs(), p)
 
 
 def test_routes_agree_around_naive_crossover(corpus):
@@ -286,7 +293,7 @@ def test_batched_bsgs_matches_naive_and_scalar_below_3000():
         counts = _batch(A, B, primes)
         assert len(counts) > len(primes) // 2, model.ainvs()
         for p, n in counts.items():
-            assert n == _count_naive_short(A, B, p) == _count_bsgs(A % p, B % p, p), (
+            assert n == _naive_count(A, B, p) == _count_bsgs(A % p, B % p, p), (
                 model.ainvs(),
                 p,
             )
@@ -324,7 +331,7 @@ def test_batch_never_takes_a_prime_at_or_above_lane_limit(monkeypatch):
     A, B = _short(E37)
     counts = _batch(A, B, [10007, below, big])
     assert sorted(seen) == [10007, below] and big not in counts
-    assert counts[10007] == _count_naive_short(A, B, 10007)
+    assert counts[10007] == _naive_count(A, B, 10007)
 
 
 def test_trace_table_batched_matches_scalar_bsgs(monkeypatch, trace_batches):
@@ -381,7 +388,7 @@ def test_batched_naive_matches_scalar_naive_bsgs_and_legendre(corpus):
             ap = table.good[p]
             c4, c6 = red.minimal_model.c_invariants()
             A, B = -27 * c4, -54 * c6
-            assert p + 1 - ap == _count_naive_short(A, B, p) == _count_bsgs(A % p, B % p, p), p
+            assert p + 1 - ap == _naive_count(A, B, p) == _count_bsgs(A % p, B % p, p), p
             # the y-count of the completed square, independent of the short model
             b2, b4, b6, _ = (b % p for b in red.minimal_model.b_invariants())
             assert ap == -int(chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p].sum()), p
