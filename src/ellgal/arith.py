@@ -18,9 +18,11 @@ class IncompleteFactorization(Exception):
 
 
 def valuation(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer, for |p| >= 2."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined (treat separately)")
+    if abs(p) < 2:
+        raise ValueError(f"valuation at {p} is undefined")
     v = 0
     while n % p == 0:
         n //= p

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import factorize, is_squarefree, kronecker, primes_up_to
+from .arith import factorize, is_prime, is_squarefree, kronecker, primes_up_to
 
 
 class SingularModel(Exception):
@@ -24,25 +24,28 @@ class BadReduction(Exception):
 
 # Naive char-sum counting below a crossover, baby-step/giant-step from it on.
 #
-# Trace tables count their primes in batches.  Microseconds per prime on four
-# curves (37a, 389a, 11a, [1,-1,1,-1,-14]), naive / BSGS batch, 2 vCPU:
-#   [1024, 2048) 41/46  [2048, 3072) 59/40  [3072, 4096) 77/40  [4096, 5120) 94/33
 # A table's naive primes are counted for all its curves at once.  Microseconds
-# per (curve, prime) on the 24 corpus-scan curves of seed 1, naive batch / BSGS
-# batch (lanes of all 24 curves), best of two runs of five, 2 vCPU:
-#   [1024, 2048) 18/18   [2048, 3072) 30/21   [3072, 4096) 39/17
-#   [4096, 5120) 48/17   [5120, 6144) 63/19   [6144, 8192) 80/22
+# per (curve, prime), naive batch / BSGS batch (lanes of all the batch's
+# curves), medians of five, two runs on 2 vCPU.
+# The 24 corpus-scan curves of seed 1 in one batch:
+#   [1024, 2048) 8.0/18.9  9.9/23.1     [2048, 3072) 12.8/17.8  13.7/19.5
+#   [3072, 4096) 16.9/16.9  17.4/17.6   [4096, 5120) 22.6/16.4  22.7/16.6
+#   [5120, 6144) 26.5/16.4  26.8/16.6   [6144, 8192) 48.9/16.6  43.6/16.4
+# Four curves (37a, 389a, 11a, [1,-1,1,-1,-14]), each in a batch of its own:
+#   [1024, 2048) 24.1/26.9  24.0/27.1   [2048, 3072) 30.7/29.6  30.6/29.3
+#   [3072, 4096) 37.9/31.1  37.8/31.1   [4096, 5120) 43.7/27.0  43.2/26.7
+# A batch of one runs about even with its lanes over [1024, 3072); a batch of
+# 24 counts [2048, 3072) faster naively, which a rule by batch size would need
+# an end-to-end measurement to earn, so the crossover stays at 2048.
 TABLE_CROSSOVER = 2048
 # count_points counts one prime: the naive kernel `_affine_counts` on one row
 # against the scalar _count_bsgs.  Microseconds per prime on the same four
-# curves, every third prime of the band, best of three, in two runs on 2 vCPU
-# (taken with a former scalar naive count, which the kernel matches within 2%
-# over [2048, 4096)):
-#   [2048, 3072) 48/58 61/97      [3072, 4096) 60/67 75/107
-#   [4096, 5120) 83/67 94/107     [5120, 6144) 89/68 111/108
-#   [6144, 8192) 116/73 137/117   [8192, 12288) 162/86 192/126
-# The scalar BSGS first wins from 4096 or 5120, and is never more than 14%
-# slower from 4096 on, while below 4096 it loses by 12-59%.
+# curves, every third prime of the band, medians of five, in two runs:
+#   [2048, 3072) 30.7/51.1 30.8/50.2    [3072, 4096) 36.6/55.5 36.9/56.2
+#   [4096, 5120) 43.8/56.0 43.7/56.1    [5120, 6144) 50.2/57.4 50.1/56.6
+#   [6144, 8192) 59.3/60.1 59.9/61.3    [8192, 12288) 76.9/64.2 78.2/66.9
+# On these figures one naive row is faster up to 6144 and about even to 8192;
+# the crossover stays at 4096 until a move is measured end to end.
 NAIVE_CROSSOVER = 4096
 
 
@@ -120,7 +123,11 @@ def _count_naive_23(model, p):
     return n
 
 
-_RESIDUES = 1 << 18  # (curve, x) pairs per naive kernel call at most, which bounds its memory
+# (curve, x) pairs a naive kernel call evaluates at most: each int64 temporary
+# then stays within 128 KB, glibc's default mmap threshold, past which fresh
+# buffers are mapped and faulted in on every call (`u -= u // p * p` took 7.4
+# ns per residue on 24 x 997 residues, 1.8-2.4 ns on 24 x 498)
+_RESIDUES = 1 << 14
 
 
 def _affine_counts(A, B, p):
@@ -128,16 +135,28 @@ def _affine_counts(A, B, p):
     p >= 5; #E(F_p) is one more, the point at infinity.
 
     A and B are residues mod p: int64 columns (shape (rows, 1)), which give a
-    list of counts, or ints for a single row, which give one count.  One
-    square-count table serves every row.  (x^2 mod p + A)x + B < 2p^2 + p fits
-    int64 for every p < 2^31.
+    list of counts, or ints for a single row, which give one count.  Only
+    x = 0..(p-1)/2 is evaluated: x and -x share u = x(x^2 + A) mod p, with
+    f(+-x) = B +- u.  (x^2 mod p + A)x < p^2 fits int64 for every p < 2^31,
+    and is reduced by floor division, which numpy does with a multiply for one
+    divisor.  One square-count table, doubled to length 2p, serves every row
+    and takes B + u and B + p - u as they are.
     """
-    x = np.arange(p, dtype=np.int64)
+    x = np.arange(p // 2 + 1, dtype=np.int64)
     xx = x * x % p
-    counts = np.bincount(xx, minlength=p)  # counts[z] = #{y in F_p : y^2 = z}
-    f = (xx + A) * x + B
-    f %= p
-    return np.add.reduce(counts[f], axis=-1).tolist()
+    sq = np.zeros(2 * p, dtype=np.int64)  # sq[z] = #{y in F_p : y^2 = z mod p}
+    sq[xx] = 2  # x = 1..(p-1)/2 meets each nonzero square once
+    sq[0] = 1
+    sq[p:] = sq[:p]
+    u = xx + A
+    u *= x
+    u -= u // p * p
+    v = (B + p) - u
+    u += B
+    n = sq[u]
+    n += sq[v]
+    n[..., 0] //= 2  # x = 0 is its own negative, so it was counted twice
+    return np.add.reduce(n, axis=-1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +509,8 @@ def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int
 
     if strategy not in ("auto", "naive", "bsgs"):
         raise ValueError(f"unknown strategy {strategy!r}; expected auto, naive or bsgs")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     loc = localdata.tate(model, p)
     if loc.f != 0:
         raise BadReduction(f"p={p} divides the minimal discriminant")
@@ -565,7 +586,7 @@ def _traces(reductions, primes):
     lo, hi = bisect_left(primes, 5), bisect_left(primes, TABLE_CROSSOVER)
     band = primes[lo:hi]
     P = np.array(band, dtype=np.int64)[:, None]
-    step = max(1, _RESIDUES // max(band, default=1))
+    step = max(1, _RESIDUES // (max(band, default=2) // 2 + 1))  # (p + 1)/2 values of x a row
     rows = []
     for start in range(0, len(reductions), step):
         # a curve is counted at its bad primes too, on a singular cubic, and overwritten below
@@ -579,8 +600,8 @@ def _traces(reductions, primes):
             A, B = A[0], B[0]
         affine = [_affine_counts(a, b, p) for p, a, b in zip(band, A, B)]
         aps = P - np.array(affine, dtype=np.int64).reshape(len(band), len(batch))
+        assert (aps * aps <= 4 * P).all(), "Hasse-Weil violated"
         for row in aps.T.tolist():
-            assert all(a * a <= 4 * p for a, p in zip(row, band)), "Hasse-Weil violated"
             rows.append([None] * lo + row + [None] * (len(primes) - hi))
 
     K, Q = [], []  # the good (curve, prime) pairs above the band, in ascending order of p

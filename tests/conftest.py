@@ -6,6 +6,7 @@ seed-free and ordering-stable so tests comparing bytes stay reproducible.
 """
 
 import itertools
+import signal
 
 import pytest
 
@@ -22,6 +23,21 @@ def _empty_trace_store():
     """Each test starts with an empty trace store, so no test is served a table
     that another one counted, perhaps under its own monkeypatch."""
     curve._STORE.clear()
+
+
+@pytest.fixture
+def time_limit():
+    """Raise TimeoutError in the test once it has run 5 s, so a call that never
+    returns fails the test instead of hanging the suite (SIGALRM, Unix only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 5 s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -73,11 +73,14 @@ def test_kronecker_multiplicative_in_bottom(a, m, n):
     assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
 
-def test_valuation():
+def test_valuation(time_limit):
     assert valuation(48, 2) == 4
     assert valuation(48, 3) == 1
     assert valuation(-27, 3) == 3
     assert valuation(7, 5) == 0
+    for p in (-1, 0, 1):  # 48 % +-1 == 0 forever
+        with pytest.raises(ValueError):
+            valuation(48, p)
 
 
 def test_primes_up_to():

@@ -94,6 +94,12 @@ def test_known_traces_37a():
         assert count_points(E37, p) == ap, p
 
 
+@pytest.mark.parametrize("p", [-7, -1, 0, 1, 4, 9, 15])
+def test_count_points_rejects_a_p_that_is_not_prime(p, time_limit):
+    with pytest.raises(ValueError, match="not prime"):
+        count_points(E37, p)
+
+
 def test_known_traces_11a():
     expected = {2: -2, 3: -1, 5: 1, 7: -2, 13: 4, 17: -2, 19: 0}
     for p, ap in expected.items():
@@ -394,22 +400,50 @@ def test_batched_naive_matches_scalar_naive_bsgs_and_legendre(corpus):
             assert ap == -int(chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p].sum()), p
 
 
+def _brute_affine_count(A, B, p):
+    return sum((y * y - x**3 - A * x - B) % p == 0 for x in range(p) for y in range(p))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_affine_counts_match_brute_force_on_every_cubic(p):
+    # every (A, B) in F_p^2, singular cubics included, as ints and as one batch
+    pairs = [(A, B) for A in range(p) for B in range(p)]
+    brute = [_brute_affine_count(A, B, p) for A, B in pairs]
+    assert [curve._affine_counts(A, B, p) for A, B in pairs] == brute
+    A, B = (np.array(column, dtype=np.int64)[:, None] for column in zip(*pairs))
+    assert curve._affine_counts(A, B, p) == brute
+
+
+def test_affine_counts_match_bsgs_just_below_the_table_crossover():
+    rng = random.Random(TABLE_CROSSOVER)
+    for p in [q for q in primes_up_to(TABLE_CROSSOVER) if q > TABLE_CROSSOVER - 50]:
+        rows = []
+        while len(rows) < 24:
+            A, B = rng.randrange(p), rng.randrange(p)
+            if (4 * A**3 + 27 * B * B) % p:
+                rows.append((A, B))
+        A, B = (np.array(column, dtype=np.int64)[:, None] for column in zip(*rows))
+        counts = [n + 1 for n in curve._affine_counts(A, B, p)]
+        assert counts == [_count_bsgs(a, b, p) for a, b in rows], p
+
+
 def test_naive_batch_in_row_steps(monkeypatch):
-    # room for three rows of 97 residues: the batch of seven goes in steps of
-    # three, three and one curves (that one as ints), each over the 23 primes in [5, 100]
+    # room for three rows of the 49 values of x the kernel evaluates at 97: the
+    # batch of seven goes in steps of three, three and one curves (that one as
+    # ints), each over the 23 primes in [5, 100]
     whole = trace_tables(NAIVE_BATCH, 100)
     calls = []
     kernel = curve._affine_counts
 
     def recording(A, B, p):
-        calls.append(np.size(A) * p)
+        calls.append(np.size(A) * (p // 2 + 1))
         return kernel(A, B, p)
 
-    monkeypatch.setattr(curve, "_RESIDUES", 3 * 97)
+    monkeypatch.setattr(curve, "_RESIDUES", 3 * 49)
     monkeypatch.setattr(curve, "_affine_counts", recording)
     curve._STORE.clear()  # else the store serves the tables without counting
     assert trace_tables(NAIVE_BATCH, 100) == whole
-    assert len(calls) == 3 * 23 and max(calls) <= 3 * 97
+    assert len(calls) == 3 * 23 and max(calls) <= 3 * 49
 
 
 def test_trace_table_is_the_batch_of_one(trace_batches):
@@ -469,6 +503,15 @@ def test_trace_store_keeps_one_table_per_minimal_model(trace_batches):
     assert (t1.model, t2.model, t3.model, t4.model) == (E37, scaled, E37, E37)
     assert t3 == t4 == t1
     assert (t2.good, t2.ramified) == (t1.good, t1.ramified)
+
+
+def test_a_minimal_model_is_its_own_reduction(corpus):
+    # global_reduce is idempotent, bad primes included
+    for rec in corpus.records:
+        red = rec.reduction
+        again = global_reduce(red.minimal_model)
+        assert again.minimal_model == red.minimal_model
+        assert again.locals.keys() == red.locals.keys()
 
 
 def test_repeated_trace_table_counts_no_prime(trace_batches):
