@@ -26,27 +26,25 @@ class BadReduction(Exception):
 #
 # A table's naive primes are counted for all its curves at once.  Microseconds
 # per (curve, prime), naive batch / BSGS batch (lanes of all the batch's
-# curves), medians of five, two runs on 2 vCPU.
+# curves, both passes), medians of five, two runs on 2 vCPU.
 # The 24 corpus-scan curves of seed 1 in one batch:
-#   [1024, 2048) 8.0/18.9  9.9/23.1     [2048, 3072) 12.8/17.8  13.7/19.5
-#   [3072, 4096) 16.9/16.9  17.4/17.6   [4096, 5120) 22.6/16.4  22.7/16.6
-#   [5120, 6144) 26.5/16.4  26.8/16.6   [6144, 8192) 48.9/16.6  43.6/16.4
+#   [1024, 2048) 11.2/14.9  12.4/17.1   [2048, 3072) 17.5/10.6  20.6/18.0
+#   [3072, 4096) 16.8/10.4  26.6/17.9   [4096, 5120) 23.5/10.8  34.0/11.5
+#   [5120, 6144) 46.3/18.6  52.3/13.0   [6144, 8192) 67.5/11.8  72.9/17.2
 # Four curves (37a, 389a, 11a, [1,-1,1,-1,-14]), each in a batch of its own:
-#   [1024, 2048) 24.1/26.9  24.0/27.1   [2048, 3072) 30.7/29.6  30.6/29.3
-#   [3072, 4096) 37.9/31.1  37.8/31.1   [4096, 5120) 43.7/27.0  43.2/26.7
-# A batch of one runs about even with its lanes over [1024, 3072); a batch of
-# 24 counts [2048, 3072) faster naively, which a rule by batch size would need
-# an end-to-end measurement to earn, so the crossover stays at 2048.
+#   [1024, 2048) 25.6/24.5  44.6/47.8   [2048, 3072) 32.8/27.6  54.5/52.7
+#   [3072, 4096) 40.4/28.5  64.4/42.3   [4096, 5120) 50.8/27.1  65.1/44.8
+# The lanes are ahead from 2048 for a batch of 24 and for a batch of one, and
+# about even with the naive batch over [1024, 2048).
 TABLE_CROSSOVER = 2048
 # count_points counts one prime: the naive kernel `_affine_counts` on one row
 # against the scalar _count_bsgs.  Microseconds per prime on the same four
 # curves, every third prime of the band, medians of five, in two runs:
-#   [2048, 3072) 30.7/51.1 30.8/50.2    [3072, 4096) 36.6/55.5 36.9/56.2
-#   [4096, 5120) 43.8/56.0 43.7/56.1    [5120, 6144) 50.2/57.4 50.1/56.6
-#   [6144, 8192) 59.3/60.1 59.9/61.3    [8192, 12288) 76.9/64.2 78.2/66.9
-# On these figures one naive row is faster up to 6144 and about even to 8192;
-# the crossover stays at 4096 until a move is measured end to end.
-NAIVE_CROSSOVER = 4096
+#   [2048, 3072) 33.0/56.0 35.8/61.5    [3072, 4096) 39.8/60.8 45.4/65.8
+#   [4096, 5120) 47.0/62.8 49.5/70.3    [5120, 6144) 55.9/64.1 60.0/80.0
+#   [6144, 8192) 68.5/71.7 67.3/72.1    [8192, 12288) 92.7/75.1 90.7/74.8
+# One naive row is faster up to 6144 and about even to 8192.
+NAIVE_CROSSOVER = 6144
 
 
 @dataclass(frozen=True)
@@ -371,27 +369,42 @@ def _lane_pow(base, e, p):
     return result
 
 
-def _count_bsgs_lanes(A, B, primes):
+def _y_tilde(xQ, xK, xKQ, a, b2, p):
+    """2 y_Q y_K mod p from the affine x of Q, K and K + Q on y^2 = x^3 + ax + b,
+    b2 = 2b (Okeya-Sakurai); exact when K + Q is finite and x_K != x_Q or K = Q."""
+    e = (xQ * xK % p + a) % p * ((xQ + xK) % p) % p
+    d = (xQ - xK) % p
+    return (e + b2 - xKQ * (d * d % p) % p) % p
+
+
+def _count_bsgs_lanes(A, B, primes, states):
     """#E(F_p) of y^2 = x^3 + A[k]x + B[k] over F_p, p = primes[k], for each lane
     k of one pass, or None where the lane does not pin it.
 
-    A pass holds at most _LANES lanes, each p >= 5 and below LANE_LIMIT, and
-    may mix curves.  The lane takes the first point `_count_bsgs` draws, P = (rx, r^2) on
-    y^2 = x^3 + ar x + br with ar = A r^2, br = B r^3, and finds every n in the
-    Hasse interval with nP = 0: baby steps x(iP) for i <= m, giant steps x(jG)
-    for G = (2m+1)P, all normalised by one inversion per lane, matched on
-    sorted (lane, x) keys, and each candidate n = j(2m+1) +- i checked by a
-    ladder.  A lane counts only when exactly one n checks out; then #E is n or
-    2p + 2 - n as (r|p) = 1 or -1.  A lane that cannot be run exactly (r = 0, a
-    difference with x = 0, an order up to 2m + 1) is left out.
+    A and B are residues mod p.  A pass holds at most _LANES lanes, each p >= 5
+    and below LANE_LIMIT, and may mix curves and bit lengths; its step counts
+    come from its largest p.  Lane k draws x = states[k] mod p, as
+    `_random_point` does from the state it has just stepped to, and takes
+    P = (rx, r^2) on y^2 = x^3 + ar x + br, with ar = A r^2 and br = B r^3.  It
+    finds every n in the Hasse interval with nP = 0: baby steps x(iP) for
+    i <= m + 1, giant steps x(jG) for G = (2m+1)P, all normalised by one
+    inversion per lane and matched on sorted (lane, x) keys.  A match
+    x(jG) = x(iP) puts jG = e iP, so n = j(2m+1) - e i.  The sign e is read off
+    by y-recovery (Okeya-Sakurai, CHES 2001), not by a ladder:
+        Y(K; Q) = (x_Q x_K + a)(x_Q + x_K) + 2b - x_(K+Q) (x_Q - x_K)^2
+    is 2 y_Q y_K, and y_P = r^2, so Y(jG; G) 2r^4 = e Y(iP; P) Y(G; P).  The sums
+    K + Q are rows too: (i+1)P, (2m+2)P = G + P and (j+1)G, for which there is
+    one giant row more than the matches use.  A lane counts only when exactly
+    one n is found; then #E is n or 2p + 2 - n as (r|p) = 1 or -1.  A lane is
+    left out when it cannot be run exactly (r = 0, a difference with x = 0, an
+    order up to 2m + 2) or when the sign of one of its matches does not follow:
+    neither or both signs hold (y = 0 gives both), x(jG) = x(G), or (j+1)G is
+    at infinity.
     """
-    Ap = [a % q for a, q in zip(A, primes)]
-    Bp = [b % q for b, q in zip(B, primes)]
-    state = [_next_state(_seed(a, b, q)) for a, b, q in zip(Ap, Bp, primes)]
     lanes = len(primes)
     p = np.array(primes, dtype=np.int64)
-    Ap, Bp = np.array(Ap, dtype=np.int64), np.array(Bp, dtype=np.int64)
-    x = np.array(state, dtype=np.int64) % p
+    Ap, Bp = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+    x = np.array(states, dtype=np.int64) % p
     r = (x * x % p * x % p + Ap * x % p + Bp) % p
     ok = r != 0
     r[~ok] = 1
@@ -409,20 +422,21 @@ def _count_bsgs_lanes(A, B, primes):
     j_lo = (lo + m) // w
     J = max(2, int(((hi + m) // w - j_lo).max()) + 1)
 
-    # rows 0..m hold x(iP) for i = 1..m+1, rows m+1.. hold x((j_lo + t)G)
-    X = np.empty((m + 1 + J, lanes), dtype=np.int64)
+    # rows 0..m hold x(iP) for i = 1..m+1, row m+1 is G, row m+2 is (2m+2)P,
+    # rows g..g+J hold x((j_lo + t)G): the last one only as the (j+1)G of row J-1
+    g = m + 3
+    X = np.empty((g + J + 1, lanes), dtype=np.int64)
     Z = np.empty_like(X)
     X[0], Z[0] = xP, one
     X[1], Z[1] = _xdbl(xP, one, *curve)
     for i in range(2, m + 1):
         X[i], Z[i] = _xadd(X[i - 1], Z[i - 1], xP, one, X[i - 2], Z[i - 2], a, b4, p)
-    ok &= (Z[: m + 1] != 0).all(axis=0) & (X[: m + 1] != 0).all(axis=0)  # X[0] is x(P)
-    GX, GZ = _xadd(X[m], Z[m], X[m - 1], Z[m - 1], xP, one, a, b4, p)
-    ok &= (GX != 0) & (GZ != 0)
+    X[m + 1], Z[m + 1] = GX, GZ = _xadd(X[m], Z[m], X[m - 1], Z[m - 1], xP, one, a, b4, p)
+    X[m + 2], Z[m + 2] = _xdbl(X[m], Z[m], *curve)
+    ok &= (Z[:g] != 0).all(axis=0) & (X[: m + 2] != 0).all(axis=0)  # X[0] is x(P)
 
-    g = m + 1
     X[g], Z[g], X[g + 1], Z[g + 1] = _ladder(j_lo, GX, GZ, *curve)
-    for t in range(g + 1, g + J - 1):
+    for t in range(g + 1, g + J):
         # the difference is row t - 1: at infinity, row t is G and t + 1 is 2G
         X[t + 1], Z[t + 1] = _xadd(X[t], Z[t], GX, GZ, X[t - 1], Z[t - 1], a, b4, p)
         at_inf = Z[t - 1] == 0
@@ -455,23 +469,30 @@ def _count_bsgs_lanes(A, B, primes):
     order = np.argsort(keys)
     keys = keys[order]
     ok[keys[1:][keys[1:] == keys[:-1]] >> 32] = False  # x(iP) = x(i'P): small order
-    giant = X[g:] + (lane << 32)
-    giant[inf] = -1
+    giant = X[g : g + J] + (lane << 32)
+    giant[inf[:J]] = -1
     giant = giant.ravel()
     pos = np.minimum(np.searchsorted(keys, giant), len(keys) - 1)
     hit = np.flatnonzero(keys[pos] == giant)
     i = order[pos[hit]] // lanes + 1
     t, ln = np.divmod(hit, lanes)
-    t_inf, ln_inf = np.divmod(np.flatnonzero(inf), lanes)
+
+    aa, pp = a[ln], p[ln]
+    b2 = 2 * b % p
+    yG = _y_tilde(xP, X[m + 1], X[m + 2], a, b2, p)  # Y(G; P), (2m+2)P = G + P
+    xG = X[m + 1, ln]
+    rhs = _y_tilde(xP[ln], X[i - 1, ln], X[i, ln], aa, b2[ln], pp) * yG[ln] % pp
+    lhs = _y_tilde(xG, X[g + t, ln], X[g + t + 1, ln], aa, b2[ln], pp)
+    lhs = lhs * (2 * (rr * rr % p) % p)[ln] % pp
+    plus, minus = lhs == rhs, (lhs + rhs) % pp == 0
+    ok[ln[(plus == minus) | inf[t + 1, ln] | (X[g + t, ln] == xG)]] = False
+
+    t_inf, ln_inf = np.divmod(np.flatnonzero(inf[:J]), lanes)
     c = (j_lo[ln] + t) * w
-    n = np.concatenate([c - i, c + i, (j_lo[ln_inf] + t_inf) * w])
-    ln = np.concatenate([ln, ln, ln_inf])
+    n = np.concatenate([np.where(plus, c - i, c + i), (j_lo[ln_inf] + t_inf) * w])
+    ln = np.concatenate([ln, ln_inf])
     keep = ok[ln] & (lo[ln] <= n) & (n <= hi[ln])
     n, ln = n[keep], ln[keep]
-
-    X0, Z0, _, _ = _ladder(n, xP[ln], one[ln], *(v[ln] for v in curve))
-    verified = (Z0 == 0) & (X0 != 0)
-    n, ln = n[verified], ln[verified]
     pinned = ok & (np.bincount(ln, minlength=lanes) == 1)
     count = np.zeros(lanes, dtype=np.int64)
     count[ln] = n
@@ -483,17 +504,33 @@ def _count_bsgs_batch(A, B, primes):
     """#E(F_p) of y^2 = x^3 + A[k]x + B[k] over F_p, p = primes[k], for each k,
     or None where the lanes leave it to the scalar route; primes ascend, all >= 5.
 
-    A prime at or above LANE_LIMIT is never sent to a lane.  Each pass takes
-    lanes of one bit length of p, so it shares its step counts whatever the
-    curves, and at most _LANES of them, which bounds its memory.
+    A prime at or above LANE_LIMIT is never sent to a lane.  The first passes
+    take the point `_count_bsgs` draws first, each pass the lanes of one bit
+    length of p, so it shares its step counts whatever the curves, and at most
+    _LANES of them, which bounds its memory.  The lanes they leave run once
+    more on the generator's next point, packed into as few passes as _LANES
+    allows.
     """
     counts = [None] * len(primes)
+    left = []  # (k, A mod p, B mod p, state) of each lane the first passes leave
     start, stop = 0, bisect_left(primes, LANE_LIMIT)
     while start < stop:
         bits_end = bisect_left(primes, 1 << primes[start].bit_length(), start)
         end = min(bits_end, start + _LANES, stop)
-        counts[start:end] = _count_bsgs_lanes(A[start:end], B[start:end], primes[start:end])
+        P = primes[start:end]
+        Ap = [a % q for a, q in zip(A[start:end], P)]
+        Bp = [b % q for b, q in zip(B[start:end], P)]
+        states = [_next_state(_seed(a, b, q)) for a, b, q in zip(Ap, Bp, P)]
+        counts[start:end] = _count_bsgs_lanes(Ap, Bp, P, states)
+        lanes = zip(range(start, end), Ap, Bp, states)
+        left += [lane for lane in lanes if counts[lane[0]] is None]
         start = end
+    for start in range(0, len(left), _LANES):
+        ks, Ap, Bp, states = zip(*left[start : start + _LANES])
+        P = [primes[k] for k in ks]
+        retry = _count_bsgs_lanes(Ap, Bp, P, [_next_state(s) for s in states])
+        for k, n in zip(ks, retry):
+            counts[k] = n
     return counts
 
 

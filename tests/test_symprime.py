@@ -2,13 +2,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgal.curve import WeierstrassModel, quadratic_twist, trace_table
+import symprime_reference
+from ellgal import symprime
+from ellgal.curve import WeierstrassModel, quadratic_twist, trace_table, trace_tables
 from ellgal.localdata import global_reduce
 from ellgal.symprime import (
     PRINTED_CONSTANT,
@@ -30,6 +33,8 @@ from ellgal.symprime import (
 )
 
 E37 = WeierstrassModel(0, 0, 1, -1, 0)
+E389 = WeierstrassModel(0, 1, 1, -2, 0)
+E11 = WeierstrassModel(0, -1, 1, -10, -20)
 
 
 def test_normalized_eigenvalue_exact():
@@ -212,8 +217,59 @@ def test_smooth_sum_zero_cases():
 def test_smooth_sum_coefficient_gap():
     t1 = trace_table(E37, 10)
     psi = bump_psi()
-    with pytest.raises(CoefficientGap):
+    # n = 50 = 2 5^2 has its traces; n = 51 = 3 17 is the first that lacks one
+    with pytest.raises(CoefficientGap, match=r"p=17$"):
         smooth_sum_S(t1, 50.0, psi, 37)
+
+
+@pytest.mark.parametrize("X", [1, 2, 17.3, 777.25, 1000, 1000.0, 3333.5])
+def test_smooth_sums_match_the_per_n_loop(X):
+    t11, t37, t389 = trace_tables([E11, E37, E389], int(2 * X) + 1)
+    psi = bump_psi()
+    for t1, t2, cop in ((t37, t389, 37 * 389), (t389, t11, 6 * 11 * 389), (t37, t37, 37)):
+        want = symprime_reference.smooth_sum(t1, t2, X, psi, cop)
+        assert smooth_sum_H(t1, t2, X, psi, cop) == want, (X, cop)  # bit for bit
+    assert smooth_sum_S(t11, X, psi, 11) == symprime_reference.smooth_sum(t11, t11, X, psi, 11)
+
+
+@pytest.mark.parametrize(
+    "bound, X, cop, prime",
+    [
+        (700, 300, 37, 389),  # 389a is bad at 389, which cop lets through
+        (700, 300, 389, 37),  # 333 = 3^2 37: 3 has its trace, 37 is bad for 37a
+        (700, 351, 37 * 389, 701),  # the tables stop below 2X = 702
+    ],
+)
+def test_smooth_sum_gap_names_the_first_missing_prime(bound, X, cop, prime):
+    t37, t389 = trace_tables([E37, E389], bound)
+    pair = (t37, t389) if cop != 389 else (t389, t37)
+    psi = bump_psi()
+    for sum_ in (smooth_sum_H, symprime_reference.smooth_sum):
+        with pytest.raises(CoefficientGap, match=rf"p={prime}$"):
+            sum_(*pair, X, psi, cop)
+
+
+def test_smooth_sum_refuses_numerators_past_float_precision(monkeypatch):
+    # the sieve bounds |N| by n tau_3(n), which must stay below 2^53; with the
+    # limit lowered to 6000, n = 1008 = 2^4 3^2 7 (tau_3 = 15 6 3) passes it
+    t37 = trace_table(E37, 2001)
+    monkeypatch.setattr(symprime, "_EXACT", 6000.0)
+    with pytest.raises(OverflowError, match="2\\^53"):
+        smooth_sum_S(t37, 1000, bump_psi(), 37)
+
+
+def test_smooth_sum_memory_is_bounded_by_the_block():
+    # at X = 5 10^4 the per-n loop peaked at 6.6 MB (its factor table and its
+    # list of terms); the sieve holds one block and the tables' columns
+    t37, t389 = trace_tables([E37, E389], 100001)
+    psi = bump_psi()
+    tracemalloc.start()
+    try:
+        smooth_sum_H(t37, t389, 50000, psi, 37 * 389)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_linnik_scan_pair_and_character():
