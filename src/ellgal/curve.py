@@ -504,33 +504,29 @@ def _count_bsgs_batch(A, B, primes):
     """#E(F_p) of y^2 = x^3 + A[k]x + B[k] over F_p, p = primes[k], for each k,
     or None where the lanes leave it to the scalar route; primes ascend, all >= 5.
 
-    A prime at or above LANE_LIMIT is never sent to a lane.  The first passes
-    take the point `_count_bsgs` draws first, each pass the lanes of one bit
-    length of p, so it shares its step counts whatever the curves, and at most
-    _LANES of them, which bounds its memory.  The lanes they leave run once
-    more on the generator's next point, packed into as few passes as _LANES
-    allows.
+    A prime at or above LANE_LIMIT is never sent to a lane.  Every lane first
+    takes the point `_count_bsgs` draws first, and the lanes that leave their
+    count open take the generator's next point.  Both draws pack consecutive
+    lanes into passes of at most _LANES, which bounds their memory; a pass may
+    mix curves and bit lengths, and takes its step counts from its largest p.
     """
     counts = [None] * len(primes)
-    left = []  # (k, A mod p, B mod p, state) of each lane the first passes leave
-    start, stop = 0, bisect_left(primes, LANE_LIMIT)
-    while start < stop:
-        bits_end = bisect_left(primes, 1 << primes[start].bit_length(), start)
-        end = min(bits_end, start + _LANES, stop)
-        P = primes[start:end]
-        Ap = [a % q for a, q in zip(A[start:end], P)]
-        Bp = [b % q for b, q in zip(B[start:end], P)]
-        states = [_next_state(_seed(a, b, q)) for a, b, q in zip(Ap, Bp, P)]
-        counts[start:end] = _count_bsgs_lanes(Ap, Bp, P, states)
-        lanes = zip(range(start, end), Ap, Bp, states)
-        left += [lane for lane in lanes if counts[lane[0]] is None]
-        start = end
-    for start in range(0, len(left), _LANES):
-        ks, Ap, Bp, states = zip(*left[start : start + _LANES])
-        P = [primes[k] for k in ks]
-        retry = _count_bsgs_lanes(Ap, Bp, P, [_next_state(s) for s in states])
-        for k, n in zip(ks, retry):
-            counts[k] = n
+    lanes = range(bisect_left(primes, LANE_LIMIT))
+    for draw in (1, 2):
+        left = []
+        for start in range(0, len(lanes), _LANES):
+            ks = lanes[start : start + _LANES]
+            P = [primes[k] for k in ks]
+            Ap = [A[k] % q for k, q in zip(ks, P)]
+            Bp = [B[k] % q for k, q in zip(ks, P)]
+            states = [_seed(a, b, q) for a, b, q in zip(Ap, Bp, P)]
+            for _ in range(draw):
+                states = [_next_state(state) for state in states]
+            for k, n in zip(ks, _count_bsgs_lanes(Ap, Bp, P, states)):
+                counts[k] = n
+                if n is None:
+                    left.append(k)
+        lanes = left
     return counts
 
 
@@ -598,6 +594,13 @@ class TraceTable:
         """The good primes <= bound, ascending."""
         return tuple(self.good)
 
+    def upto(self, X):
+        """The number of primes <= X, which a scan to X reads of each column;
+        ValueError when X exceeds the bound, past which the table knows nothing."""
+        if X > self.bound:
+            raise ValueError(f"X = {X} exceeds the trace table's bound {self.bound}")
+        return bisect_right(self.primes, X)
+
     def trace(self, p):
         i = bisect_left(self.primes, p)
         if i == len(self.primes) or self.primes[i] != p:
@@ -616,7 +619,11 @@ def _traces(reductions, primes):
     together.  Below TABLE_CROSSOVER each `_affine_counts` call takes one prime
     for as many curves as _RESIDUES allows, their coefficients reduced mod
     every prime of the band up front; from there on all their good primes
-    share the BSGS passes, in lanes that mix curves.
+    share the BSGS passes, in lanes that mix curves.  Each of those (curve,
+    prime) pairs is recorded with the index of its prime in `primes`, and one
+    the lanes leave is counted by the scalar `_count_bsgs`.  Cells above the
+    band start as None, so one that no route fills fails when the store packs
+    the row.
     """
     models = [red.minimal_model for red in reductions]
     shorts = [(-27 * c4, -54 * c6) for c4, c6 in (E.c_invariants() for E in models)]
@@ -641,18 +648,16 @@ def _traces(reductions, primes):
         for row in aps.T.tolist():
             rows.append([None] * lo + row + [None] * (len(primes) - hi))
 
-    K, Q = [], []  # the good (curve, prime) pairs above the band, in ascending order of p
+    K, I = [], []  # the good (curve, index of p) pairs above the band, in ascending order of p
     for i in range(hi, len(primes)):
         for k, red in enumerate(reductions):
             if primes[i] not in red.locals:
                 K.append(k)
-                Q.append(primes[i])
+                I.append(i)
     A = [shorts[k][0] for k in K]
     B = [shorts[k][1] for k in K]
-    i = hi  # the index of p in primes, walked along with Q
-    for k, n, a, b, p in zip(K, _count_bsgs_batch(A, B, Q), A, B, Q):
-        while primes[i] < p:
-            i += 1
+    Q = [primes[i] for i in I]
+    for k, i, n, a, b, p in zip(K, I, _count_bsgs_batch(A, B, Q), A, B, Q):
         rows[k][i] = _checked_trace(p, _count_bsgs(a % p, b % p, p) if n is None else n)
     for k, red in enumerate(reductions):
         for i in range(lo):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .arith import factorize, is_prime, kronecker, primes_up_to
@@ -73,12 +72,6 @@ class ScriptLReport:
     consistent: bool
 
 
-def _check_bound(table: TraceTable, X: int) -> None:
-    """A scan to X needs a table computed at least that far."""
-    if X > table.bound:
-        raise ValueError(f"X = {X} exceeds the trace table's bound {table.bound}")
-
-
 def _is_square(n):
     return n >= 0 and math.isqrt(n) ** 2 == n
 
@@ -126,7 +119,7 @@ def image_test(red: GlobalReduction, table: TraceTable, ell: int, X: int | None 
     """
     if X is None:
         X = table.bound
-    _check_bound(table, X)
+    n = table.upto(X)
     if ell == 2:
         return _image_test_mod2(red, X)
     if ell == 3 or not is_prime(ell):
@@ -139,9 +132,7 @@ def image_test(red: GlobalReduction, table: TraceTable, ell: int, X: int | None 
     checked = 0  # len(dets) when the determinant was last decided
     det_ok = False
     nonzero_traces = 0
-    for p, ap in zip(table.primes, table.aps):
-        if p > X:
-            break
+    for p, ap in zip(table.primes[:n], table.aps):
         if p == ell or p in table.bad:
             continue
         ap %= ell
@@ -165,7 +156,7 @@ def image_test(red: GlobalReduction, table: TraceTable, ell: int, X: int | None 
     if len(dets) > checked:
         det_ok = _det_surjective(dets, ell)
     # the good primes <= X other than ell, whether or not the scan stopped early
-    samples = bisect_right(table.primes, X) - sum(q <= X for q in table.bad | {ell})
+    samples = n - sum(q <= X for q in table.bad | {ell})
     certs = {
         "nonsquareDisc": cert_a,
         "squareDisc": cert_b,
@@ -195,11 +186,8 @@ def pair_witness(t1: TraceTable, t2: TraceTable, X: int) -> PairWitness | None:
 
     A table's good primes leave out every prime that divides its conductor.
     """
-    _check_bound(t1, X)
-    _check_bound(t2, X)
-    for p, a1, a2 in zip(t1.primes, t1.aps, t2.aps):
-        if p > X:
-            break
+    n = min(t1.upto(X), t2.upto(X))
+    for p, a1, a2 in zip(t1.primes[:n], t1.aps, t2.aps):
         if abs(a1) != abs(a2) and p not in t1.bad and p not in t2.bad:
             return PairWitness(p, a1, a2)
     return None
@@ -213,9 +201,8 @@ def joint_surjectivity_test(red1, t1, red2, t2, ell, X=None) -> JointResult:
         if rep.verdict != "surjective":
             return JointResult("failed", "single-curve-image", None)
     same_abs = True
-    for p, a1, a2 in zip(t1.primes, t1.aps, t2.aps):
-        if p > X:
-            break
+    n = min(t1.upto(X), t2.upto(X))
+    for p, a1, a2 in zip(t1.primes[:n], t1.aps, t2.aps):
         if p == ell or p in t1.bad or p in t2.bad:
             continue
         if abs(a1) != abs(a2):
@@ -292,7 +279,7 @@ def prune_epsilon(cands: EpsilonCandidateSet, table: TraceTable, ell: int) -> Ep
     survivors = []
     counts = {}
     for m in cands.candidates:
-        if m > 0 and math.isqrt(m) ** 2 == m:
+        if _is_square(m):
             continue  # square modulus: trivial character, can never be epsilon
         tested = 0
         alive = True
@@ -312,7 +299,7 @@ def script_l_scan(red: GlobalReduction, table: TraceTable, window, X=None) -> Sc
     """Non-surjective ell = 1 (mod 4) in the window, with a joint divisibility witness."""
     if X is None:
         X = table.bound
-    _check_bound(table, X)
+    n = table.upto(X)
     if isinstance(window, int):
         window = primes_up_to(window)
     window = set(window)
@@ -337,9 +324,7 @@ def script_l_scan(red: GlobalReduction, table: TraceTable, window, X=None) -> Sc
     if not ells:
         return ScriptLReport((), None, None, 1, True)
     prod = math.prod(ells)
-    for p, ap in zip(table.primes, table.aps):
-        if p > X:
-            break
+    for p, ap in zip(table.primes[:n], table.aps):
         if ap == 0 or p in window or p in table.bad:
             continue
         if all(any(kronecker(m, p) == -1 for m in survivors[l]) for l in ells):

@@ -58,8 +58,12 @@ class GlobalReduction:
     n_mult: int  # product of p^f over multiplicative primes
 
 
-# |Phi_p| from v_p(Delta_min) for p >= 5, additive potentially good
-_PHI_TABLE = {2: 6, 3: 4, 4: 3, 6: 2, 8: 3, 9: 4, 10: 6}
+# v_p(Delta_min) -> (Kodaira symbol, |Phi_p|) at an additive p >= 5 other than
+# I_n*; |Phi_p| is read only where the reduction is potentially good
+_ADDITIVE = {
+    2: ("II", 6), 3: ("III", 4), 4: ("IV", 3), 6: ("I0*", 2),
+    8: ("IV*", 3), 9: ("III*", 4), 10: ("II*", 6),
+}
 
 
 def _check_f_bound(p, f):
@@ -113,26 +117,13 @@ def _tate_table(c4, c6, vd, p):
         split = kronecker(-c6, p) == 1
         red = "multSplit" if split else "multNonsplit"
         return LocalReduction(p, f"I{vd}", 1, vd, red, False, mmodel)
-    pot_good = 3 * vc4 >= vd
-    if vd == 2:
-        kod = "II"
-    elif vd == 3:
-        kod = "III"
-    elif vd == 4:
-        kod = "IV"
-    elif vd == 6:
-        kod = "I0*"
-    elif vc4 == 2 and vd >= 7:
+    if vc4 == 2 and vd >= 7:
         kod = f"I{vd - 6}*"
-    elif vd == 8:
-        kod = "IV*"
-    elif vd == 9:
-        kod = "III*"
-    elif vd == 10:
-        kod = "II*"
+    elif vd in _ADDITIVE:
+        kod = _ADDITIVE[vd][0]
     else:
         raise InvariantViolation(f"impossible valuation pair v(c4)={vc4}, v(D)={vd} at p={p}")
-    return LocalReduction(p, kod, 2, vd, "additive", pot_good, mmodel)
+    return LocalReduction(p, kod, 2, vd, "additive", 3 * vc4 >= vd, mmodel)
 
 
 def _cubic_root_mults(coeffs, p):
@@ -279,7 +270,7 @@ def phi_order(local: LocalReduction):
     if local.red_type != "additive" or not local.pot_good:
         raise NotAdditivePotGood(f"p={local.p} is not additive potentially good")
     if local.p >= 5:
-        return _PHI_TABLE[local.v_delta_min]
+        return _ADDITIVE[local.v_delta_min][1]
     return "undetermined23"
 
 

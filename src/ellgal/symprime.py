@@ -12,7 +12,7 @@ import numpy as np
 
 from .arith import factorize, kronecker, primes_up_to
 from .curve import TraceTable
-from .galois import _check_bound, pair_witness
+from .galois import pair_witness
 
 
 class RamanujanViolation(Exception):
@@ -93,13 +93,10 @@ class VonMangoldtSeries:
 
 def von_mangoldt(t1: TraceTable, t2: TraceTable, X: int) -> VonMangoldtSeries:
     """Lambda_{pi1 x pi2}(p^k) = log p * P_k(t1) P_k(t2) at unramified p^k <= X."""
-    _check_bound(t1, X)
-    _check_bound(t2, X)
+    n = min(t1.upto(X), t2.upto(X))
     entries = {}
     ram = sorted(p for p in t1.bad | t2.bad if p <= X)
-    for p, a1, a2 in zip(t1.primes, t1.aps, t2.aps):
-        if p > X:
-            break
+    for p, a1, a2 in zip(t1.primes[:n], t1.aps, t2.aps):
         if p in t1.bad or p in t2.bad:
             continue
         kmax = _max_exponent(p, X)
@@ -288,15 +285,13 @@ def linnik_scan(table1: TraceTable, table2: TraceTable = None, chi: int = None, 
     lambda(p) = chi(p) lambda(p) (character form); None when no violation is found."""
     if bound is None:
         bound = table1.bound
-    _check_bound(table1, bound)
+    n = table1.upto(bound)
     if table2 is not None:
         w = pair_witness(table1, table2, bound)
         return None if w is None else w.p
     if chi is None:
         raise ValueError("need a second curve or a character modulus")
-    for p, ap in zip(table1.primes, table1.aps):
-        if p > bound:
-            break
+    for p, ap in zip(table1.primes[:n], table1.aps):
         if ap != 0 and p not in table1.bad and kronecker(chi, p) == -1:
             return p
     return None

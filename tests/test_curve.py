@@ -355,7 +355,8 @@ def _random_lanes(rng, lo, hi, count):
 
 
 def test_batched_bsgs_matches_scalar_over_every_bit_length():
-    # 150 random curves a band, 12-bit to 31-bit primes and just below LANE_LIMIT
+    # 150 random curves a band, 12-bit to 31-bit primes and just below LANE_LIMIT;
+    # passes take 512 consecutive lanes, so the first passes straddle powers of two
     rng = random.Random(20261020)
     bands = [(1 << (bits - 1), 1 << bits) for bits in range(12, 32)]
     lanes = []
@@ -387,9 +388,10 @@ def test_second_pass_counts_on_the_next_point(monkeypatch):
     A, B, P = (list(column) for column in zip(*lanes))
     counts = _count_bsgs_batch(A, B, P)
     assert sorted(first_pass) == P  # every lane went through the first pass, and was refused
-    # the second pass packs all three bands, so its steps come from the larger
-    # primes: m = 45 or 300 rows of x(iP), and a small lane is left out when
-    # one of them has x = 0 (about 2m/p of them) or its order is up to 2m + 2
+    # each pass packs consecutive lanes, so the second pass's passes mix the
+    # bands and take their steps from the larger primes: m = 45 or 300 rows of
+    # x(iP), and a small lane is left out when one of them has x = 0 (about 2m/p
+    # of them) or its order is up to 2m + 2
     assert sum(n is None for n in counts) <= len(P) // 10
     for a, b, p, n in zip(A, B, P, counts):
         if n is not None:
@@ -397,8 +399,8 @@ def test_second_pass_counts_on_the_next_point(monkeypatch):
 
 
 def test_lanes_of_a_mixed_pass_match_scalar_bsgs():
-    # a pass takes its step counts from its largest prime, as the second pass
-    # does when it packs several bit lengths: the small primes' points then
+    # a pass takes its step counts from its largest prime, as a pass of either
+    # draw does when it packs several bit lengths: the small primes' points then
     # often have orders near 2m, where a match's sign may not follow and the
     # lane must be left out.  Counting the undecidable matches pins wrong
     # counts here, on the lane below among others.

@@ -226,11 +226,13 @@ def test_scans_reject_bound_above_table():
         lambda: von_mangoldt(t, t, big),
         lambda: linnik_scan(t, ttw, bound=big),
         lambda: linnik_scan(t, chi=12, bound=big),
+        lambda: t.upto(101),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="exceeds the trace table's bound 100"):
             call()
     assert image_test(red, t, 5, 100).bound == 100  # the table's own bound is fine
+    assert t.upto(100) == 25  # the primes <= 100, the reach of every scan above
 
 
 def test_joint_surjectivity_failure_modes():

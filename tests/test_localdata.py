@@ -178,6 +178,44 @@ def test_phi_order_table():
         assert set(seen) == {2, 3, 4, 6, 8, 9, 10}
 
 
+# the additive rows of the valuation table at p >= 5: v(Delta) -> the Kodaira
+# symbol for v(c4) = 1, 2, 3, None where the pair raises; |Phi_p| by v(Delta)
+ADDITIVE_AT_5 = {
+    1: (None, None, None),
+    2: ("II", "II", "II"),
+    3: ("III", "III", "III"),
+    4: ("IV", "IV", "IV"),
+    5: (None, None, None),
+    6: ("I0*", "I0*", "I0*"),
+    7: (None, "I1*", None),
+    8: ("IV*", "I2*", "IV*"),
+    9: ("III*", "I3*", "III*"),
+    10: ("II*", "I4*", "II*"),
+    11: (None, "I5*", None),
+    12: (None, "I6*", None),
+}
+PHI_AT_5 = {2: 6, 3: 4, 4: 3, 6: 2, 8: 3, 9: 4, 10: 6}
+
+
+@pytest.mark.parametrize("vc4", [1, 2, 3])
+@pytest.mark.parametrize("vd", range(1, 13))
+def test_additive_valuation_table_at_5(vd, vc4):
+    kodaira = ADDITIVE_AT_5[vd][vc4 - 1]
+    c4, c6 = 2 * 5**vc4, 3  # c4^3 != c6^2, so the attached model is nonsingular
+    if kodaira is None:
+        with pytest.raises(InvariantViolation, match="impossible valuation pair"):
+            localdata._tate_table(c4, c6, vd, 5)
+        return
+    loc = localdata._tate_table(c4, c6, vd, 5)
+    assert (loc.kodaira, loc.f, loc.v_delta_min, loc.red_type) == (kodaira, 2, vd, "additive")
+    assert loc.pot_good == (3 * vc4 >= vd)
+    if loc.pot_good:
+        assert phi_order(loc) == PHI_AT_5[vd]
+    else:
+        with pytest.raises(NotAdditivePotGood):
+            phi_order(loc)
+
+
 def test_phi_order_undetermined_at_2_3():
     loc = tate(WeierstrassModel(0, 0, 1, 0, 0), 3)  # additive at 3
     assert loc.red_type == "additive" and loc.pot_good
