@@ -22,7 +22,7 @@ class BadReduction(Exception):
     pass
 
 
-# Naive char-sum counting below a crossover, baby-step/giant-step from it on.
+# Trace tables count naively below a crossover and in BSGS lanes from it on.
 #
 # A table's naive primes are counted for all its curves at once.  Microseconds
 # per (curve, prime), naive batch / BSGS batch (lanes of all the batch's
@@ -37,14 +37,6 @@ class BadReduction(Exception):
 # The lanes are ahead from 2048 for a batch of 24 and for a batch of one, and
 # about even with the naive batch over [1024, 2048).
 TABLE_CROSSOVER = 2048
-# count_points counts one prime: the naive kernel `_affine_counts` on one row
-# against the scalar _count_bsgs.  Microseconds per prime on the same four
-# curves, every third prime of the band, medians of five, in two runs:
-#   [2048, 3072) 33.0/56.0 35.8/61.5    [3072, 4096) 39.8/60.8 45.4/65.8
-#   [4096, 5120) 47.0/62.8 49.5/70.3    [5120, 6144) 55.9/64.1 60.0/80.0
-#   [6144, 8192) 68.5/71.7 67.3/72.1    [8192, 12288) 92.7/75.1 90.7/74.8
-# One naive row is faster up to 6144 and about even to 8192.
-NAIVE_CROSSOVER = 6144
 
 
 @dataclass(frozen=True)
@@ -244,35 +236,15 @@ def _point_order(P, A, p, lo, hi):
 
 
 def _cartier_manin(A, B, p):
-    """a_p mod p as the x^(p-1) coefficient of (x^3+Ax+B)^((p-1)/2)."""
-    # polynomial power mod p, tracked as coefficient dict (degrees up to 3(p-1)/2)
-    half = (p - 1) // 2
-    base = {0: B % p, 1: A % p, 3: 1}
-    result = {0: 1}
-
-    def polmul(f, g):
-        h = {}
-        for d1, c1 in f.items():
-            if not c1:
-                continue
-            for d2, c2 in g.items():
-                d = d1 + d2
-                h[d] = (h.get(d, 0) + c1 * c2) % p
-        return h
-
-    e = half
-    while e:
-        if e & 1:
-            result = polmul(result, base)
-        e >>= 1
-        if e:
-            base = polmul(base, base)
-    return result.get(p - 1, 0) % p
+    """a_p mod p at p >= 5 as -sum_x f(x)^((p-1)/2), f = x^3 + Ax + B (Euler's criterion),
+    which is the x^(p-1) coefficient of f^((p-1)/2): the Cartier-Manin congruence."""
+    return -sum(pow(x * x * x + A * x + B, (p - 1) // 2, p) for x in range(p)) % p
 
 
 def _count_bsgs(A, B, p):
-    """Group order via random point orders on the curve and its twist (Mestre),
-    with a Cartier-Manin congruence to settle small-p ambiguity."""
+    """#E(F_p) of y^2 = x^3 + Ax + B, A and B reduced mod p >= 5, from random point
+    orders on the curve and its twist (Mestre); below p = 700, where they need
+    not pin it, from the fourth point on also by a_p mod p (`_cartier_manin`)."""
     s = math.isqrt(4 * p) + 1
     lo, hi = p + 1 - s, p + 1 + s
     l_curve, l_twist = 1, 1
@@ -296,9 +268,7 @@ def _count_bsgs(A, B, p):
         if len(cands) == 0:
             raise RuntimeError("order constraints inconsistent")
         if rounds >= 3 and p < 700:
-            # below ~457 the exponent of curve+twist need not pin the order; from
-            # the fourth point on, the Cartier-Manin congruence a_p mod p settles it
-            # (cheap for tiny p)
+            # below ~457 the exponents of curve and twist need not pin the order
             apm = _cartier_manin(A, B, p)
             cands = [n for n in cands if (p + 1 - n) % p == apm]
             if len(cands) == 1:
@@ -537,7 +507,9 @@ def _checked_trace(p, n):
 
 
 def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int:
-    """Frobenius trace a_p = p + 1 - #E(F_p) at a prime of good reduction."""
+    """Frobenius trace a_p = p + 1 - #E(F_p) at a prime of good reduction: from
+    p = 5 on by the scalar BSGS `_count_bsgs` ("auto" and "bsgs" both name it) or,
+    with strategy="naive", the naive kernel; at p = 2 and 3 by a naive count."""
     from . import localdata
 
     if strategy not in ("auto", "naive", "bsgs"):
@@ -550,7 +522,7 @@ def count_points(model: WeierstrassModel, p: int, strategy: str = "auto") -> int
     E = loc.minimal_model  # a short model at p >= 5
     if p < 5:
         n = _count_naive_23(E, p)
-    elif strategy == "naive" or (strategy == "auto" and p < NAIVE_CROSSOVER):
+    elif strategy == "naive":
         n = _affine_counts(E.a4 % p, E.a6 % p, p) + 1
     else:
         n = _count_bsgs(E.a4 % p, E.a6 % p, p)
@@ -619,8 +591,7 @@ def _traces(reductions, primes):
     together.  Below TABLE_CROSSOVER each `_affine_counts` call takes one prime
     for as many curves as _RESIDUES allows, their coefficients reduced mod
     every prime of the band up front; from there on all their good primes
-    share the BSGS passes, in lanes that mix curves.  Each of those (curve,
-    prime) pairs is recorded with the index of its prime in `primes`, and one
+    share the BSGS passes, in lanes that mix curves, and a (curve, prime) pair
     the lanes leave is counted by the scalar `_count_bsgs`.  Cells above the
     band start as None, so one that no route fills fails when the store packs
     the row.
@@ -648,16 +619,18 @@ def _traces(reductions, primes):
         for row in aps.T.tolist():
             rows.append([None] * lo + row + [None] * (len(primes) - hi))
 
-    K, I = [], []  # the good (curve, index of p) pairs above the band, in ascending order of p
+    K, Q = [], []  # the good (curve, p) pairs above the band, in ascending order of p
     for i in range(hi, len(primes)):
         for k, red in enumerate(reductions):
             if primes[i] not in red.locals:
                 K.append(k)
-                I.append(i)
+                Q.append(primes[i])
     A = [shorts[k][0] for k in K]
     B = [shorts[k][1] for k in K]
-    Q = [primes[i] for i in I]
-    for k, i, n, a, b, p in zip(K, I, _count_bsgs_batch(A, B, Q), A, B, Q):
+    i = hi  # the index of p in primes, which only moves up
+    for k, n, a, b, p in zip(K, _count_bsgs_batch(A, B, Q), A, B, Q):
+        while primes[i] < p:
+            i += 1
         rows[k][i] = _checked_trace(p, _count_bsgs(a % p, b % p, p) if n is None else n)
     for k, red in enumerate(reductions):
         for i in range(lo):

@@ -77,15 +77,27 @@ def _is_square(n):
 
 
 def _integer_roots_monic_cubic(c2, c1, c0):
-    if c0 == 0:
-        return True
-    divs = [1]
-    for q, e in factorize(abs(c0)).factors:
-        divs = [d * q**k for d in divs for k in range(e + 1)]
-    for d in divs:
-        for r in (d, -d):
-            if r**3 + c2 * r * r + c1 * r + c0 == 0:
-                return True
+    """Whether x^3 + c2 x^2 + c1 x + c0 has an integer root, without factoring: it
+    lies within the Cauchy bound 1 + max |c_i|, and bisection finds it on the stretch
+    where the cubic is monotone, cut at (-c2 -+ sqrt(D))/3, D = c2^2 - 3 c1."""
+
+    def f(x):
+        return ((x + c2) * x + c1) * x + c0
+
+    bound = 1 + max(abs(c2), abs(c1), abs(c0))
+    D = c2 * c2 - 3 * c1
+    root = math.isqrt(max(D, 0))  # D < 0: f increases, and the middle stretch is one point or none
+    t1 = (-c2 - root - (root * root != D)) // 3  # floor((-c2 - sqrt(D))/3)
+    t2 = (-c2 + root) // 3  # floor((-c2 + sqrt(D))/3)
+    for lo, hi, sign in ((-bound, t1, 1), (t1 + 1, t2, -1), (t2 + 1, bound, 1)):  # sign * f rises
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == hi and f(lo) == 0:
+            return True
     return False
 
 

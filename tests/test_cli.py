@@ -449,6 +449,15 @@ def test_image_command(runner):
     assert json.loads(res3.output)["verdict"] == "surjective"
 
 
+def test_image_mod2_of_a_discriminant_past_factoring(runner, time_limit):
+    # the 2-division cubic's integer roots are decided without factoring 16 b6
+    res = _run(runner, ["image", "0,0,0,14,3180895779350111737881287857", "-l", "2", "-X", "100"])
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["verdict"] == "surjective"
+    assert data["certificates"] == {"irreducibleNonsquareDisc": True}
+
+
 def test_pair_command(runner):
     res = _run(runner, ["pair", "0,0,1,-1,0", "0,1,1,-2,0", "-X", "500"])
     data = json.loads(res.output)
@@ -481,11 +490,15 @@ def test_family_filter_ss(runner, small_corpus_csv):
 
 def test_family_rejects_exit_1(runner, tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a1,a2,a3,a4,a6,label\n0,0,1,-1,0,w\n0,0,0,0,0,sing\n", encoding="utf-8")
+    path.write_text(
+        "a1,a2,a3,a4,a6,label\n0,0,1,-1,0,w\n0,0,0,0,0,sing\n0,0,1,-1\n", encoding="utf-8"
+    )
     res = _run(runner, ["family", str(path), "-N", "100"])
     assert res.exit_code == 1  # rejects present, but the report is still emitted
     data = json.loads(res.output)
     assert data["rejects"]
+    assert data["rejects"][-1] == [4, "expected 5 coefficients"]
+    assert [r["label"] for r in data["records"]] == ["w"]
 
 
 def test_pairs_command_deterministic(runner, small_corpus_csv):

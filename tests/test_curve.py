@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ import ellgal.curve as curve
 from ellgal.arith import is_prime, kronecker, least_nonresidue, primes_up_to
 from ellgal.curve import (
     LANE_LIMIT,
-    NAIVE_CROSSOVER,
     TABLE_CROSSOVER,
     BadReduction,
     SingularModel,
@@ -62,6 +62,8 @@ def test_invariants_examples():
     m = WeierstrassModel(0, 0, 0, -1, 0)
     assert m.discriminant() == 64
     assert m.j_invariant() == 1728
+    # y^2 + y = x^3 - x: (b2, b4, b6, b8, c4, c6, Delta, j)
+    assert curve.invariants(E37) == (0, -2, 1, -1, 48, -216, 37, Fraction(110592, 37))
 
 
 def test_invariant_relations():
@@ -139,6 +141,46 @@ def test_naive_vs_bsgs_agree(corpus):
             assert count_points(model, p, strategy="naive") == count_points(
                 model, p, strategy="bsgs"
             ), (rec.label, p)
+
+
+def test_count_points_matches_naive_on_every_short_curve_to_31():
+    # every nonsingular y^2 = x^3 + Ax + B over F_p, 5 <= p <= 31: 3,190 curves,
+    # many with non-cyclic groups or small point orders
+    checked = 0
+    for p in primes_up_to(31)[2:]:
+        for A in range(p):
+            for B in range(p):
+                if (4 * A**3 + 27 * B * B) % p:
+                    model = WeierstrassModel(0, 0, 0, A, B)
+                    assert count_points(model, p) == count_points(
+                        model, p, strategy="naive"
+                    ), (A, B, p)
+                    checked += 1
+    assert checked == 3190
+
+
+def _cartier_manin_power(A, B, p):
+    """a_p mod p as the x^(p-1) coefficient of (x^3 + Ax + B)^((p-1)/2), by
+    square-and-multiply on coefficient arrays mod p (lowest degree first)."""
+    base = np.array([B % p, A % p, 0, 1], dtype=np.int64)
+    result = np.ones(1, dtype=np.int64)
+    e = (p - 1) // 2
+    while e:
+        if e & 1:
+            result = np.convolve(result, base) % p
+        e >>= 1
+        if e:
+            base = np.convolve(base, base) % p
+    return int(result[p - 1]) if len(result) > p - 1 else 0
+
+
+def test_cartier_manin_matches_the_polynomial_power():
+    rng = random.Random(700)
+    for p in primes_up_to(700)[2:]:
+        for A, B in [(0, 0), (p - 1, 0), (0, 1)] + [
+            (rng.randrange(p), rng.randrange(p)) for _ in range(3)
+        ]:
+            assert curve._cartier_manin(A, B, p) == _cartier_manin_power(A, B, p), (A, B, p)
 
 
 def test_bsgs_matches_naive_below_3000():
@@ -258,12 +300,13 @@ def test_bsgs_pinned_large_primes():
             assert count_points(model, p, strategy="naive") == traces[p], (model.ainvs(), p)
 
 
-def test_routes_agree_around_naive_crossover(corpus):
-    # count_points switches from the naive count to BSGS inside the first
-    # window, and trace tables from the naive batch to the BSGS lanes inside the second
+def test_routes_agree_around_6144_and_the_table_crossover(corpus):
+    # trace tables switch from the naive batch to the BSGS lanes inside the
+    # second window; around 6144 one naive row and the scalar BSGS take about
+    # the same time
     records = corpus.records
     reds = [r.reduction for r in (records[0], records[len(records) // 2], records[-1])]
-    for crossover in (NAIVE_CROSSOVER, TABLE_CROSSOVER):
+    for crossover in (6144, TABLE_CROSSOVER):
         primes = [p for p in primes_up_to(crossover + 500) if p >= crossover - 500]
         assert primes[0] < crossover < primes[-1]
         tables = trace_tables(reds, primes[-1])
@@ -458,7 +501,7 @@ def _euler_chi(p):
 def test_batched_naive_matches_scalar_naive_bsgs_and_legendre(corpus):
     models = NAIVE_BATCH + tuple(r.reduction.minimal_model for r in corpus.records[::500])
     reds = [global_reduce(m) for m in models]
-    X = NAIVE_CROSSOVER - 1
+    X = 6143
     tables = trace_tables(reds, X)
     assert any(p in t.ramified for t in tables for p in (5, 17, 401))  # masked rows
     for p in primes_up_to(X)[2:]:

@@ -41,19 +41,21 @@ def test_ingest_csv_and_rejects(tmp_path):
         "0,0,0,0,0,singular\n"
         "0,0,1,-1,0,good\n"  # duplicate label
         "1,1,1,-10,-10,ok2\n"
-        "0,0,1,-1,0,a,zzz\n",  # a field after the label
+        "0,0,1,-1,0,a,zzz\n"  # a field after the label
+        "0,0,1,-1\n",  # four fields
         encoding="utf-8",
     )
     corpus = ingest(path, "csvAinvariants")
     assert [r.label for r in corpus.records] == ["good", "ok2"]
-    assert len(corpus.rejects) == 4
+    assert len(corpus.rejects) == 5
     messages = [msg for _, msg in corpus.rejects]
     assert any("non-integer" in m for m in messages)
     assert any("singular" in m for m in messages)
     assert any("duplicate" in m for m in messages)
-    assert corpus.rejects[-1] == (7, "more than 6 fields (a1,a2,a3,a4,a6,label)")
+    assert corpus.rejects[-2] == (7, "more than 6 fields (a1,a2,a3,a4,a6,label)")
+    assert corpus.rejects[-1] == (8, "expected 5 coefficients")
     # conservation: every input row is either a record or a reject
-    assert len(corpus.records) + len(corpus.rejects) == 6
+    assert len(corpus.records) + len(corpus.rejects) == 7
 
 
 def test_ingest_header_required(tmp_path):
@@ -101,6 +103,19 @@ def test_family_filters_nest(corpus):
     # conductor ordering
     conds = [r.reduction.conductor for r in fam_all.records]
     assert conds == sorted(conds)
+
+
+def test_non_cm_filter_is_the_complement_of_cm_only(corpus, family_all):
+    fam_cm = build_family(corpus, "cmOnly", 10**4)
+    fam_non = build_family(corpus, "nonCM", 10**4)
+    assert fam_non.filter_tag == "nonCM"
+    cm, non = {r.label for r in fam_cm.records}, {r.label for r in fam_non.records}
+    assert not cm & non
+    assert cm | non == {r.label for r in family_all.records}
+    cm_js = {j for _, j in CM_BASES.values()}
+    assert all(r.model.j_invariant() not in cm_js for r in fam_non.records)
+    with pytest.raises(ValueError, match="unknown filter"):
+        build_family(corpus, "nonCm", 10**4)
 
 
 def test_family_ceiling(corpus):

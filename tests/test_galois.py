@@ -12,6 +12,7 @@ from ellgal.galois import (
     NoCommonWitness,
     NoWitnessBelow,
     _det_surjective,
+    _integer_roots_monic_cubic,
     comparison_bound,
     epsilon_candidates,
     image_test,
@@ -168,6 +169,42 @@ def test_image_mod2():
     m = WeierstrassModel(0, 0, 0, -48, -64)
     rep = image_test(global_reduce(m), trace_table(m, 100), 2)
     assert rep.obstruction == "cyclicCubic"
+
+
+def _planted_cubic(rng, kind):
+    """(c2, c1, c0) of (x - r)(x^2 + bx + c), coefficients up to about 10^40: r a
+    triple, double or simple root, or r = 0; or three random coefficients."""
+    if kind == "random":
+        return tuple(rng.randint(-(10**40), 10**40) for _ in range(3))
+    r, s = rng.randint(-(10**13), 10**13), rng.randint(-(10**13), 10**13)
+    b, c = rng.randint(-(10**13), 10**13), rng.randint(-(10**26), 10**26)
+    if kind == "triple":
+        b, c = -2 * r, r * r
+    elif kind == "double":  # x^2 + bx + c = (x - r)(x - s)
+        b, c = -r - s, r * s
+    elif kind == "zero":
+        r = 0
+    return b - r, c - r * b, -r * c
+
+
+def test_integer_roots_of_monic_cubics_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(40)
+    for kind in ("triple", "double", "simple", "zero", "random"):
+        for _ in range(25):
+            c2, c1, c0 = _planted_cubic(rng, kind)
+            for shift in (0, 1, -1):  # a planted root, then most likely none
+                ground = sympy.Poly([1, c2, c1, c0 + shift], x).ground_roots()
+                assert _integer_roots_monic_cubic(c2, c1, c0 + shift) == bool(ground), (c2, c1, c0)
+                if kind != "random" and shift == 0:
+                    assert ground, (kind, c2, c1, c0)
+    # the 2-division cubic of a curve whose 16 b6 (29 digits) factorize cannot split
+    m = WeierstrassModel(0, 0, 0, 14, 3180895779350111737881287857)
+    b2, b4, b6, _ = m.b_invariants()
+    assert not sympy.Poly([1, b2, 8 * b4, 16 * b6], x).ground_roots()
+    assert not _integer_roots_monic_cubic(b2, 8 * b4, 16 * b6)
+    assert not sympy.sqrt(sympy.Integer(m.discriminant())).is_integer  # so it is surjective at 2
 
 
 def test_image_mod3_unsupported():
