@@ -75,14 +75,6 @@ def primes_up_to(bound: int) -> list[int]:
     return list(itertools.compress(range(bound + 1), sieve))
 
 
-def smallest_prime_factors(bound: int) -> list[int]:
-    """spf[n] = least prime factor of n for 2 <= n <= bound (spf[0] = 0, spf[1] = 1)."""
-    spf = list(range(bound + 1))
-    for p in reversed(primes_up_to(math.isqrt(bound))):  # the least prime writes last
-        spf[p * p :: p] = [p] * len(range(p * p, bound + 1, p))
-    return spf
-
-
 def least_nonresidue(p: int) -> int:
     """Least g >= 2 with (g|p) = -1, for an odd prime p."""
     g = 2

@@ -269,7 +269,7 @@ def pairs(file, bound, cap, seed, input_format, fmt):
     if cap < 1:
         raise ParseReject(f"--sample must be a positive number of pairs, got {cap}")
     corpus = _ingest_checked(file, input_format)
-    fam = familymod.build_family(corpus, "all", 10**18)
+    fam = familymod.build_family(corpus, "all", math.inf)
     _emit(familymod.pair_statistics(fam, bound, cap, seed), fmt)
     if corpus.rejects:
         sys.exit(1)

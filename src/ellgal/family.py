@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import kronecker, least_nonresidue, smallest_prime_factors
+from .arith import kronecker, least_nonresidue, primes_up_to
 from .curve import SingularModel, WeierstrassModel, trace_tables
 from .curve import trace_table  # noqa: F401  (kept as family.trace_table)
 from .galois import pair_bound, pair_witness
@@ -243,19 +243,6 @@ def validate_cm_bases():
     _BASES_VALIDATED = True
 
 
-def _squarefree_coprime6(bound):
-    """Squarefree m <= bound with gcd(m, 6) = 1, each with its ascending prime list."""
-    if bound < 1:
-        return []
-    spf = smallest_prime_factors(bound)
-    found = {1: ()}
-    for m in range(5, bound + 1):
-        p, rest = spf[m], m // spf[m]
-        if p > 3 and rest % p and rest in found:
-            found[m] = (p,) + found[rest]
-    return list(found.items())
-
-
 def _tally(counts, tops, big, factors, mult):
     """Add mult * #{F in sorted factors : big * F <= top} to each top's count."""
     for i in range(bisect_left(tops, big * factors[0]), len(tops)):
@@ -277,16 +264,19 @@ def _family(D):
     return power, build, next((p for p in base.locals if p >= 5), None)
 
 
-def _census_family(D, tops, squarefree):
+def _census_family(D, tops, primes):
     """Members of one CM family with conductor <= each top.
 
     A twist d = sign * 2^a * 3^b * u, 0 <= a, b < power, u = prod p^e_p prime to 6
     (m = prod p squarefree, 1 <= e_p < power) has conductor big * 2^f2 * 3^f3 with
     big = q^fq * prod p^2 over p | m, p != q. f2 and f3 depend only on (sign, a, b)
     and u mod 432, so each residue keeps one sorted list of 2^f2 * 3^f3 over
-    (sign, a, b), and each m folds its exponent vectors into a count per residue.
-    Families with a q are quadratic: fq must agree over q^v * unit, v in {0, 1},
-    unit a residue or not.
+    (sign, a, b). m grows depth-first from 1, one prime of the ascending `primes`
+    (5 <= p) at a time, and each step folds the new prime's exponent vectors into
+    its parent's count per residue. q goes first, since it alone leaves big as it
+    is; after it big grows with p, so a branch ends at the first p that takes
+    big * (least list entry) above the top. Families with a q are quadratic: fq
+    must agree over q^v * unit, v in {0, 1}, unit a residue or not.
     """
     power, build, q = _family(D)
     memo = {}
@@ -312,21 +302,27 @@ def _census_family(D, tops, squarefree):
     units = [r for r in range(1, 432, 2) if r % 3]
     lists = {r: sorted(x * y for x, y in zip(at2[r % 16], at3[r % 27])) for r in units}
     floor = min(factors[0] for factors in lists.values())
+    order = sorted(primes, key=lambda p: p != q)  # q first, the rest still ascending
+    top = tops[-1]
     counts = [0] * len(tops)
-    for m, mprimes in squarefree:
-        big = (m // q if q in mprimes else m) ** 2 * qf
-        if big * floor > tops[-1]:
-            continue
-        classes = {1: 1}
-        for p in mprimes:
+
+    def walk(start, big, classes):
+        for r, mult in classes.items():
+            _tally(counts, tops, big, lists[r], mult)
+        for i in range(start, len(order)):
+            p = order[i]
+            child = big if p == q else big * p * p
+            if child * floor > top:
+                break
             steps = [pow(p, e, 432) for e in range(1, power)]
             folded = {}
             for r, k in classes.items():
                 for t in steps:
                     folded[r * t % 432] = folded.get(r * t % 432, 0) + k
-            classes = folded
-        for r, mult in classes.items():
-            _tally(counts, tops, big, lists[r], mult)
+            walk(i + 1, child, folded)
+
+    walk(0, qf, {1: 1})
+    del walk  # walk refers to itself: unbinding it frees the tables now, not at a gc pass
     return counts
 
 
@@ -347,11 +343,11 @@ def cm_census(ceiling: int, ladder=None) -> dict:
         ladder = [ceiling]
     # perJInvariant counts every member up to the ceiling, even above the ladder's top
     tops = ladder if ladder[-1] == ceiling else ladder + [ceiling]
-    squarefree = _squarefree_coprime6(math.isqrt(ceiling))
+    primes = primes_up_to(math.isqrt(ceiling))[2:]
     totals = [0] * len(tops)
     per_j = {}
     for D in sorted(CM_BASES):
-        family = _census_family(D, tops, squarefree)
+        family = _census_family(D, tops, primes)
         totals = [t + c for t, c in zip(totals, family)]
         if family[-1]:
             per_j[str(CM_BASES[D][1])] = family[-1]

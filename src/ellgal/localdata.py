@@ -55,7 +55,6 @@ class GlobalReduction:
     semistable: bool
     satisfies_cond12: bool
     n_add: int  # product of the additive bad primes (radical)
-    n_mult: int  # product of p^f over multiplicative primes
 
 
 # v_p(Delta_min) -> (Kodaira symbol, |Phi_p|) at an additive p >= 5 other than
@@ -308,7 +307,7 @@ def global_reduce(model: WeierstrassModel) -> GlobalReduction:
             if loc.f > 0:
                 locs[p] = loc
     conductor = 1
-    n_add, n_mult = 1, 1
+    n_add = 1
     cond12 = True
     for p, loc in sorted(locs.items()):
         conductor *= p**loc.f
@@ -316,9 +315,7 @@ def global_reduce(model: WeierstrassModel) -> GlobalReduction:
             n_add *= p
             if p >= 5 and loc.pot_good and phi_order(loc) == 4:
                 cond12 = False
-        else:
-            n_mult *= p**loc.f
     if n_add * n_add > conductor:
         raise InvariantViolation("additive radical exceeds sqrt of conductor")
     semistable = all(loc.f <= 1 for loc in locs.values())
-    return GlobalReduction(E, conductor, locs, semistable, cond12, n_add, n_mult)
+    return GlobalReduction(E, conductor, locs, semistable, cond12, n_add)

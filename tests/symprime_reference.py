@@ -5,8 +5,16 @@ smooth sums."""
 
 import math
 
-from ellgal.arith import smallest_prime_factors
+from ellgal.arith import primes_up_to
 from ellgal.symprime import CoefficientGap, _max_exponent, _sym2_numerators
+
+
+def smallest_prime_factors(bound: int) -> list[int]:
+    """spf[n] = least prime factor of n for 2 <= n <= bound (spf[0] = 0, spf[1] = 1)."""
+    spf = list(range(bound + 1))
+    for p in reversed(primes_up_to(math.isqrt(bound))):  # the least prime writes last
+        spf[p * p :: p] = [p] * len(range(p * p, bound + 1, p))
+    return spf
 
 
 def smooth_sum(table1, table2, X, psi, coprime_to):

@@ -16,7 +16,6 @@ from ellgal.arith import (
     is_squarefree,
     kronecker,
     primes_up_to,
-    smallest_prime_factors,
     valuation,
 )
 
@@ -86,15 +85,6 @@ def test_valuation(time_limit):
 def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1) == []
-
-
-def test_smallest_prime_factors_oracle():
-    spf = smallest_prime_factors(5000)
-    assert spf[:2] == [0, 1]
-    for n in range(2, 5001):
-        assert spf[n] == next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n), n
-    for bound in range(5):
-        assert smallest_prime_factors(bound) == [0, 1, 2, 3, 2][: bound + 1]
 
 
 def test_is_prime_deterministic_on_range():

@@ -449,6 +449,17 @@ def test_image_command(runner):
     assert json.loads(res3.output)["verdict"] == "surjective"
 
 
+def test_image_command_reports_insufficient_samples(runner):
+    # 27a has six good primes other than 5 below 20, and its CM image cannot pass
+    res = _run(runner, ["image", "0,0,1,0,0", "-l", "5", "-X", "20"])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {
+        "ell": 5,
+        "verdict": "insufficientSamples",
+        "detail": "only 6 good primes below 20",
+    }
+
+
 def test_image_mod2_of_a_discriminant_past_factoring(runner, time_limit):
     # the 2-division cubic's integer roots are decided without factoring 16 b6
     res = _run(runner, ["image", "0,0,0,14,3180895779350111737881287857", "-l", "2", "-X", "100"])
@@ -508,6 +519,20 @@ def test_pairs_command_deterministic(runner, small_corpus_csv):
     assert out1 == out2
     data = json.loads(out1)
     assert data["pairsTotal"] == 30 and data["seed"] == 5
+
+
+def test_pairs_command_takes_every_conductor(runner, tmp_path):
+    # y^2 = x^3 + x + 10000000019 has conductor 21600000082080000078008 > 10^18
+    path = tmp_path / "three.csv"
+    path.write_text(
+        "a1,a2,a3,a4,a6,label\n0,0,1,-1,0,37a\n0,1,1,-2,0,389a\n0,0,0,1,10000000019,big\n",
+        encoding="utf-8",
+    )
+    res = _run(runner, ["pairs", str(path), "-X", "200"])
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["pairsTotal"] == 3
+    assert [e["pair"] for e in data["entries"]] == [["37a", "389a"], ["37a", "big"], ["389a", "big"]]
 
 
 def test_cm_census_command(runner):

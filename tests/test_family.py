@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -15,7 +16,6 @@ from ellgal.curve import WeierstrassModel, trace_table
 from ellgal.family import (
     CM_BASES,
     _census_family,
-    _squarefree_coprime6,
     build_family,
     cm_census,
     ingest,
@@ -56,6 +56,16 @@ def test_ingest_csv_and_rejects(tmp_path):
     assert corpus.rejects[-1] == (8, "expected 5 coefficients")
     # conservation: every input row is either a record or a reject
     assert len(corpus.records) + len(corpus.rejects) == 7
+
+
+def test_ingest_skips_blank_csv_rows(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a1,a2,a3,a4,a6,label\n0,0,1,-1,0,w\n\n , ,\t\n0,1,1,-2,0,v\n", encoding="utf-8")
+    corpus = ingest(path, "csvAinvariants")
+    assert [r.label for r in corpus.records] == ["w", "v"] and corpus.rejects == ()
+    # a blank row still takes its row number
+    path.write_text("a1,a2,a3,a4,a6,label\n\n0,0,1,-1\n", encoding="utf-8")
+    assert ingest(path, "csvAinvariants").rejects == ((3, "expected 5 coefficients"),)
 
 
 def test_ingest_header_required(tmp_path):
@@ -208,6 +218,25 @@ def test_cm_census_monotone_and_empty():
     assert tiny["counts"] == [0]
 
 
+def test_cm_census_memory_stays_below_its_tables():
+    # no table over sqrt(N) is built (10^4 Python ints here), and each family's
+    # tables are freed when its count returns, not left in a cycle for a gc pass
+    cm_census(1000)  # bases validated and modules loaded outside the measurement
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        rep = cm_census(10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+        cyclic = gc.collect()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert rep["counts"][:4] == [CENSUS_ORACLE[10**k] for k in (3, 4, 5, 6)]
+    assert cyclic == 0
+    assert peak < 0.75 * 2**20, peak
+
+
 def _power_twists(power, unit_primes):
     """Every (sign, a, b, u) with d = sign * 2^a * 3^b * u a power-free twist parameter,
     0 <= a, b < power, and u prime to 6 with rad(u) = prod unit_primes."""
@@ -220,7 +249,8 @@ def _check_exact_counts(D, conductors):
     """The census of family D, asked for conductor <= N - 1 and <= N at each N met,
     must count exactly the twists whose reduced conductor is N."""
     tops = sorted({N for N in conductors} | {N - 1 for N in conductors})
-    counts = dict(zip(tops, _census_family(D, tops, _squarefree_coprime6(math.isqrt(tops[-1])))))
+    primes = primes_up_to(math.isqrt(tops[-1]))[2:]
+    counts = dict(zip(tops, _census_family(D, tops, primes)))
     for N, k in Counter(conductors).items():
         assert counts[N] - counts[N - 1] == k, (D, N)
 
@@ -244,7 +274,7 @@ def test_cm_census_rejects_f_q_that_varies_over_twists(monkeypatch):
 
     monkeypatch.setattr(family, "tate", tate)
     with pytest.raises(RuntimeError, match="f_q varies"):
-        _census_family(D, [10**4], _squarefree_coprime6(100))
+        _census_family(D, [10**4], primes_up_to(100)[2:])
 
 
 def test_cm_census_memo_agrees_with_global_reduce():
@@ -319,6 +349,23 @@ class _ExponentOracle:
         return out
 
 
+def _squarefree_by_trial_division(bound):
+    """Each squarefree m <= bound prime to 6, with its ascending primes, by trial division."""
+    for m in range(1, bound + 1):
+        if math.gcd(m, 6) > 1:
+            continue
+        mprimes, rest, d = [], m, 5
+        while d * d <= rest:
+            if rest % d == 0:
+                rest //= d
+                if rest % d == 0:
+                    break
+                mprimes.append(d)
+            d += 2
+        else:
+            yield m, mprimes + [rest] * (rest > 1)
+
+
 def _nested_loop_census(ceiling, ladder):
     """The census as a list of every member's conductor: per family, squarefree m,
     exponent vector, sign, a and b, with the oracle asked for each exponent."""
@@ -328,7 +375,7 @@ def _nested_loop_census(ceiling, ladder):
         j = CM_BASES[D][1]
         oracle = _ExponentOracle(D)
         power = oracle.power
-        for m, mprimes in _squarefree_coprime6(root):
+        for m, mprimes in _squarefree_by_trial_division(root):
             big = math.prod(p * p for p in mprimes if p not in oracle.q_primes)
             units = [1]
             for p in mprimes:

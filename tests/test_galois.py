@@ -1,16 +1,19 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import galois_reference
 from ellgal.arith import kronecker, primes_up_to
-from ellgal.curve import WeierstrassModel, quadratic_twist, trace_table, trace_tables
+from ellgal.curve import WeierstrassModel, count_points, quadratic_twist, trace_table, trace_tables
 from ellgal.family import CM_BASES
 from ellgal.galois import (
     InsufficientSamples,
+    JointResult,
     NoCommonWitness,
     NoWitnessBelow,
+    ScriptLReport,
     _det_surjective,
     _integer_roots_monic_cubic,
     comparison_bound,
@@ -336,6 +339,40 @@ def test_script_l_scan_cm_has_no_common_witness():
     red, table = _red_and_table(E27, 2000)
     with pytest.raises(NoCommonWitness):
         script_l_scan(red, table, 50, 2000)
+
+
+def test_script_l_scan_witness_on_a_nonsplit_cartan_normalizer_curve():
+    # j = 8000 t^3 (t + 1)(t^2 - 5t + 10)^3 / (t^2 - 5)^5 is the j-map of X_ns^+(5)
+    # (Zywina); at t = 7, twisted by 10 to reduce well at 5, it is this curve of
+    # conductor 2^2 7^2 11^2 43^2, with 43 of type III (|Phi| = 4)
+    E = WeierstrassModel(0, 0, 0, -8923145, -2532388551)
+    t = Fraction(7)
+    assert E.j_invariant() == 8000 * t**3 * (t + 1) * (t * t - 5 * t + 10) ** 3 / (t * t - 5) ** 5
+    red, table = _red_and_table(E, 3000)
+    assert red.conductor == 2**2 * 7**2 * 11**2 * 43**2
+    assert image_test(red, table, 5).obstruction == "nonsplitCartanNormalizer"
+    assert prune_epsilon(epsilon_candidates(red, 5), table, 5).candidates == (-172, -43)
+    # past the window (p <= 50), chi_-43 is +1 at 53 and 59 and -1 at 61, where the
+    # naive count gives a_61 = -5: divisible by 5, and 5^2 <= 4 * 61
+    assert [kronecker(-43, p) for p in (53, 59, 61)] == [1, 1, -1]
+    assert count_points(E, 61, strategy="naive") == -5
+    assert script_l_scan(red, table, 50) == ScriptLReport((5,), 61, -5, 5, True)
+    # six good primes below 29 leave ell = 5 undecided, so the scan passes over it
+    with pytest.raises(InsufficientSamples):
+        image_test(red, table, 5, 29)
+    assert script_l_scan(red, table, 50, 29) == ScriptLReport((), None, None, 1, True)
+
+
+def test_joint_surjectivity_undetermined_below_its_first_witness():
+    # both curves are surjective mod 5 by X = 40, and below 41 every shared good
+    # a_p agrees with the other up to sign mod 5 (a_11: 0 and -5, a_37: -2 and 7),
+    # though not up to sign; 41 (a_p = -3 and -4) is the first witness
+    r1, t1 = _red_and_table(WeierstrassModel(0, 0, 0, -11, -2), 100)  # N = 5216
+    r2, t2 = _red_and_table(WeierstrassModel(0, 0, 0, -5, 5), 100)  # N = 700
+    assert t1.good[11] == 0 and t2.good[11] == -5 and (t1.good[41], t2.good[41]) == (-3, -4)
+    undetermined = JointResult("undetermined", "no witness in range", None)
+    assert joint_surjectivity_test(r1, t1, r2, t2, 5, 40) == undetermined
+    assert joint_surjectivity_test(r1, t1, r2, t2, 5, 41) == JointResult("jointlySurjective", None, 41)
 
 
 def _outcome(scan, *args):

@@ -194,6 +194,15 @@ def test_von_mangoldt_matches_complex_satake_parameters():
         assert math.isclose(value, expected[key], rel_tol=1e-9, abs_tol=1e-9), key
 
 
+def test_smallest_prime_factors_oracle():
+    spf = symprime_reference.smallest_prime_factors(5000)
+    assert spf[:2] == [0, 1]
+    for n in range(2, 5001):
+        assert spf[n] == next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n), n
+    for bound in range(5):
+        assert symprime_reference.smallest_prime_factors(bound) == [0, 1, 2, 3, 2][: bound + 1]
+
+
 def test_smooth_sum_S_equals_H_on_twists():
     red = global_reduce(E37)
     tw = quadratic_twist(E37, 5)
