@@ -244,8 +244,6 @@ def factorize(n: int) -> Factorization:
     stack = [m] if m > 1 else []
     while stack:
         c = stack.pop()
-        if c == 1:
-            continue
         if is_prime(c):
             take(c)
             continue

@@ -17,9 +17,10 @@ class PreconditionFailed(Exception):
 
 
 class InvariantViolation(Exception):
-    """An exact invariant of the reduction failed: a conductor-exponent bound, the
-    additive radical against the conductor, an impossible valuation pair at p >= 5,
-    or Tate's step 11 reached on a p-minimal model. The CLI maps this to exit code 2."""
+    """An exact invariant of the reduction failed: a conductor-exponent bound (f >= 1
+    at every bad prime, f <= 8, 5, 2 at 2, 3, p >= 5), the additive radical against
+    the conductor, an impossible valuation pair at p >= 5, or Tate's step 11 reached
+    on a p-minimal model. The CLI maps this to exit code 2."""
 
 
 _BIG = 10**9
@@ -125,26 +126,16 @@ def _tate_table(c4, c6, vd, p):
     return LocalReduction(p, kod, 2, vd, "additive", 3 * vc4 >= vd, mmodel)
 
 
-def _cubic_root_mults(coeffs, p):
-    """Multiplicity of each root in F_p of a monic cubic, given [1, c2, c1, c0]."""
-    mults = {}
-    for t in range(p):
-        c = [x % p for x in coeffs]
-        k = 0
-        while len(c) > 1:
-            # synthetic division by (T - t)
-            q = []
-            acc = 0
-            for coef in c:
-                acc = (acc * t + coef) % p
-                q.append(acc)
-            if q[-1] != 0:
-                break
-            c = q[:-1]
-            k += 1
-        if k:
-            mults[t] = k
-    return mults
+def _deepest_root(c2, c1, c0, p):
+    """The largest (k, t) over t in F_p, k the multiplicity of t as a root of
+    T^3 + c2 T^2 + c1 T + c0 mod p: the index of the first Taylor coefficient at t,
+    f(t), (3t + 2 c2) t + c1, 3t + c2 and 1, that p does not divide. They are exact
+    integers, so this holds at p = 2 too; a cubic has at most one repeated root."""
+    def mult(t):
+        taylor = (((t + c2) * t + c1) * t + c0, (3 * t + 2 * c2) * t + c1, 3 * t + c2, 1)
+        return next(k for k, a in enumerate(taylor) if a % p)
+
+    return max((mult(t), t) for t in range(p))
 
 
 def _singular_point(E, p):
@@ -197,14 +188,12 @@ def _tate_steps(base, c4, vd, p):
     c2 = _exact_div(E.a2, p)
     c1 = _exact_div(E.a4, p * p)
     c0 = _exact_div(E.a6, p**3)
-    mults = _cubic_root_mults([1, c2, c1, c0], p)
-    mmax = max(mults.values(), default=1)
-    if mmax == 1:
+    k, root = _deepest_root(c2, c1, c0, p)
+    if k <= 1:
         return LocalReduction(p, "I0*", vd - 4, vd, "additive", pot_good, base)
-    root = max(t for t, k in mults.items() if k == mmax)
-    if mmax == 2:
-        # type I_n* sub-procedure: shift the double root to T = 0
-        E = E.transform(r=p * root)
+    E = E.transform(r=p * root)  # shift the repeated root to T = 0
+    if k == 2:
+        # type I_n* sub-procedure
         n = 1
         mx = my = p * p
         while True:
@@ -226,8 +215,7 @@ def _tate_steps(base, c4, vd, p):
             mx *= p
             n += 1
         return LocalReduction(p, f"I{n}*", vd - 4 - n, vd, "additive", pot_good, base)
-    # triple root: shift to T = 0, then steps 8-10
-    E = E.transform(r=p * root)
+    # triple root: steps 8-10
     a3t = _exact_div(E.a3, p * p)
     a6t = _exact_div(E.a6, p**4)
     if (a3t * a3t + 4 * a6t) % p != 0:
@@ -246,6 +234,8 @@ def _classify(E, c4, c6, vd, p):
     the valuation table at p >= 5, Tate's steps at 2 and 3. Neither decides minimality."""
     loc = _tate_table(c4, c6, vd, p) if p >= 5 else _tate_steps(E, c4, vd, p)
     _check_f_bound(p, loc.f)
+    if vd and loc.f < 1:
+        raise InvariantViolation(f"conductor exponent {loc.f} at p={p}, which divides Delta_min")
     return loc
 
 
@@ -300,12 +290,7 @@ def global_reduce(model: WeierstrassModel) -> GlobalReduction:
     c4, c6 = c4 // u**4, c6 // u**6
     E = _connell(c4, c6)
 
-    locs = {}
-    for p, v in vmin.items():
-        if v:
-            loc = _classify(E, c4, c6, v, p)
-            if loc.f > 0:
-                locs[p] = loc
+    locs = {p: _classify(E, c4, c6, v, p) for p, v in vmin.items() if v}
     conductor = 1
     n_add = 1
     cond12 = True

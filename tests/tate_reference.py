@@ -2,10 +2,34 @@
 minimality rule and the closed-form coordinate moves: it searches (r, s, t) for
 the singular point and the step-6 normal form, and rescales by u = p and starts
 over when it reaches step 11.  Kept unchanged as an independent oracle for
-`ellgal.localdata.tate`."""
+`ellgal.localdata.tate`.  It keeps its own root count for the step-6 cubic,
+synthetic division at every t in F_p, so it shares no root-finding code with
+`ellgal.localdata`, which reads the repeated root off Taylor coefficients."""
 
 from ellgal.arith import valuation
-from ellgal.localdata import LocalReduction, _cubic_root_mults, _exact_div, _vv
+from ellgal.localdata import LocalReduction, _exact_div, _vv
+
+
+def _cubic_root_mults(coeffs, p):
+    """Multiplicity of each root in F_p of a monic cubic, given [1, c2, c1, c0]."""
+    mults = {}
+    for t in range(p):
+        c = [x % p for x in coeffs]
+        k = 0
+        while len(c) > 1:
+            # synthetic division by (T - t)
+            q = []
+            acc = 0
+            for coef in c:
+                acc = (acc * t + coef) % p
+                q.append(acc)
+            if q[-1] != 0:
+                break
+            c = q[:-1]
+            k += 1
+        if k:
+            mults[t] = k
+    return mults
 
 
 def _quad_has_root(b, c, p):

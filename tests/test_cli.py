@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -159,6 +160,22 @@ def test_under_scaled_model_is_an_invariant_violation(runner, monkeypatch):
     with pytest.raises(localdata.InvariantViolation, match="step 11"):
         localdata.tate(cli._parse_curve(scaled), 2)
     res = runner.invoke(cli.main, ["tate", scaled, "-p", "2"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.startswith("invariant violation:") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("curve", ["0,0,1,-1,0", "1,0,1,4,-6"])  # 37a; 14a, bad at 2 and 7
+def test_bad_prime_with_f_0_is_an_invariant_violation(runner, monkeypatch, curve):
+    # every prime global_reduce classifies divides Delta_min, so f = 0 there must
+    # fail hard rather than drop the prime from the conductor and the trace tables
+    def f_0(classify):
+        return lambda *args: dataclasses.replace(classify(*args), f=0)
+
+    monkeypatch.setattr(localdata, "_tate_table", f_0(localdata._tate_table))
+    monkeypatch.setattr(localdata, "_tate_steps", f_0(localdata._tate_steps))
+    with pytest.raises(localdata.InvariantViolation, match="divides Delta_min"):
+        localdata.global_reduce(cli._parse_curve(curve))
+    res = runner.invoke(cli.main, ["ap", curve, "-X", "50"])
     assert res.exit_code == 2 and res.stdout == ""
     assert res.stderr.startswith("invariant violation:") and res.stderr.count("\n") == 1
 
@@ -563,6 +580,18 @@ def test_symsum_command(runner, small_corpus_csv, tmp_path):
     res = _run(runner, ["symsum", str(path), "--pair", " w,v", "-X", "100"])
     assert res.exit_code == 0
     assert json.loads(res.output)["labels"] == ["w", "v"]
+
+
+def test_symsum_reports_and_exits_1_on_a_rejected_row(runner, tmp_path):
+    path = tmp_path / "reject.csv"
+    path.write_text(
+        "a1,a2,a3,a4,a6,label\n0,0,1,-1,0,a\n0,1,1,-2,0,b\n0,0,1,x,0,c\n", encoding="utf-8"
+    )
+    res = runner.invoke(cli.main, ["symsum", str(path), "--pair", "a,b", "-X", "50"])
+    assert res.exit_code == 1 and res.stderr == ""
+    data = json.loads(res.stdout)
+    assert data["labels"] == ["a", "b"] and data["coprimeTo"] == 37 * 389
+    assert data["S"] == 38.0661262225 and data["H"] == -3.08064889251
 
 
 def test_symsum_unknown_label(runner, small_corpus_csv):

@@ -75,6 +75,13 @@ def test_ingest_header_required(tmp_path):
         ingest(path, "csvAinvariants")
 
 
+def test_ingest_unknown_format(tmp_path):
+    path = tmp_path / "curves.csv"
+    path.write_text("a1,a2,a3,a4,a6,label\n0,0,1,-1,0,w\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown format"):
+        ingest(path, "xml")
+
+
 def test_ingest_json_lines(tmp_path):
     path = tmp_path / "curves.jsonl"
     rows = [
@@ -216,6 +223,12 @@ def test_cm_census_monotone_and_empty():
     assert rep["counts"][-1] == CENSUS_ORACLE[10**5]
     tiny = cm_census(1)
     assert tiny["counts"] == [0]
+
+
+def test_cm_census_ladder_above_the_ceiling():
+    # every ladder entry above the ceiling leaves the ceiling alone
+    rep = cm_census(1000, ladder=[10**4])
+    assert rep["ceilings"] == [1000] and rep["counts"] == [CENSUS_ORACLE[1000]]
 
 
 def test_cm_census_memory_stays_below_its_tables():
@@ -437,6 +450,11 @@ def test_census_report_round_trips_through_csv():
     parsed = report_parse_csv(blob)
     assert parsed["counts/0"] == rep["counts"][0]
     assert parsed["baseCount"] == 13
+
+
+def test_report_parse_csv_needs_its_header():
+    with pytest.raises(ValueError, match="not a report CSV"):
+        report_parse_csv(b"k,v\nx,1\n")
 
 
 def test_report_emit_unknown_format():

@@ -11,8 +11,10 @@ from ellgal.curve import SingularModel, WeierstrassModel, quadratic_twist
 from ellgal.localdata import (
     InvariantViolation,
     NotAdditivePotGood,
+    PreconditionFailed,
     _check_f_bound,
     _connell,
+    _deepest_root,
     _tate_steps,
     global_reduce,
     inertial_type,
@@ -20,6 +22,7 @@ from ellgal.localdata import (
     potential_goodness,
     tate,
 )
+from tate_reference import _cubic_root_mults
 from tate_reference import _tate_steps as reference_tate_steps
 
 # reduced minimal a-invariants -> (conductor, {p: (kodaira, f)})
@@ -243,6 +246,17 @@ def test_inertial_type_split_by_residue():
         assert inertial_type(loc) == "supercuspidal_tsc_u24"
 
 
+def test_inertial_type_preconditions():
+    # y^2 = x^3 - x is additive potentially good at 2, where no class is given
+    with pytest.raises(PreconditionFailed, match="defined only for p >= 5"):
+        inertial_type(tate(WeierstrassModel(0, 0, 0, -1, 0), 2))
+    # y^2 = x^3 + 25 is IV at 5, with |Phi_5| = 3
+    loc = tate(WeierstrassModel(0, 0, 0, 0, 25), 5)
+    assert loc.kodaira == "IV" and phi_order(loc) == 3
+    with pytest.raises(PreconditionFailed, match="need 4"):
+        inertial_type(loc)
+
+
 def test_potential_goodness_criterion():
     assert potential_goodness(tate(WeierstrassModel(0, 0, 0, 0, 5**2), 5))
     mult = WeierstrassModel(0, -1, 1, -10, -20)
@@ -380,6 +394,20 @@ def test_reduction_data_invariant_under_integral_changes(corpus, index, r, s, t,
 
 def _classification(loc):
     return loc.kodaira, loc.f, loc.v_delta_min, loc.red_type, loc.pot_good
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_deepest_root_agrees_with_synthetic_division(p):
+    # every monic cubic over F_p, its coefficients drawn from [-p, 2p) so that
+    # negative ones and ones >= p are read as their residues
+    for c2, c1, c0 in itertools.product(range(-p, 2 * p), repeat=3):
+        mults = _cubic_root_mults([1, c2, c1, c0], p)
+        k, t = _deepest_root(c2, c1, c0, p)
+        assert 0 <= t < p
+        if mults:
+            assert (k, t) == max((k, t) for t, k in mults.items()), (p, c2, c1, c0)
+        else:
+            assert k == 0, (p, c2, c1, c0)
 
 
 @given(
