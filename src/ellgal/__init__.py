@@ -4,6 +4,7 @@ mod-ell image diagnostics, symmetric-power coefficients, and family statistics."
 from .arith import (
     Factorization,
     IncompleteFactorization,
+    InvariantViolation,
     class_number,
     class_number_one_discriminants,
     factorize,
@@ -52,7 +53,6 @@ from .galois import (
 )
 from .localdata import (
     GlobalReduction,
-    InvariantViolation,
     LocalReduction,
     NotAdditivePotGood,
     PreconditionFailed,

@@ -17,6 +17,13 @@ class IncompleteFactorization(Exception):
         self.partial = partial
 
 
+class InvariantViolation(Exception):
+    """An exact invariant failed: a conductor-exponent bound (f >= 1 at every bad
+    prime, f <= 8, 5, 2 at 2, 3, p >= 5), the additive radical against the conductor,
+    an impossible valuation pair at p >= 5, Tate's step 11 on a p-minimal model, the
+    b- and c-invariant relations or the Hasse-Weil bound. The CLI maps it to exit 2."""
+
+
 def valuation(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer, for |p| >= 2."""
     if n == 0:

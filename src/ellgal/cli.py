@@ -12,9 +12,9 @@ import click
 
 from . import family as familymod
 from . import galois, symprime
-from .arith import IncompleteFactorization, is_prime
+from .arith import IncompleteFactorization, InvariantViolation, is_prime
 from .curve import SingularModel, WeierstrassModel, trace_table, trace_tables
-from .localdata import InvariantViolation, global_reduce, phi_order, tate
+from .localdata import global_reduce, phi_order, tate
 from .localdata import NotAdditivePotGood
 
 

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import factorize, is_prime, is_squarefree, kronecker, primes_up_to
+from .arith import InvariantViolation, factorize, is_prime, is_squarefree, kronecker, primes_up_to
 
 
 class SingularModel(Exception):
@@ -94,12 +94,12 @@ class WeierstrassModel:
 
 
 def invariants(model: WeierstrassModel):
-    """(b2, b4, b6, b8, c4, c6, Delta, j) with the standard relations asserted."""
+    """(b2, b4, b6, b8, c4, c6, Delta, j), checked against the standard relations."""
     b2, b4, b6, b8 = model.b_invariants()
     c4, c6 = model.c_invariants()
     disc = model.discriminant()
-    assert 4 * b8 == b2 * b6 - b4 * b4
-    assert c4**3 - c6 * c6 == 1728 * disc
+    if 4 * b8 != b2 * b6 - b4 * b4 or c4**3 - c6 * c6 != 1728 * disc:
+        raise InvariantViolation(f"the b- and c-invariant relations fail for {model.ainvs()}")
     return b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc)
 
 
@@ -502,7 +502,8 @@ def _count_bsgs_batch(A, B, primes):
 
 def _checked_trace(p, n):
     ap = p + 1 - n
-    assert ap * ap <= 4 * p, f"Hasse-Weil violated at p={p}"
+    if ap * ap > 4 * p:
+        raise InvariantViolation(f"Hasse-Weil violated at p={p}: a_p = {ap}")
     return ap
 
 
@@ -615,7 +616,10 @@ def _traces(reductions, primes):
             A, B = A[0], B[0]
         affine = [_affine_counts(a, b, p) for p, a, b in zip(band, A, B)]
         aps = P - np.array(affine, dtype=np.int64).reshape(len(band), len(batch))
-        assert (aps * aps <= 4 * P).all(), "Hasse-Weil violated"
+        over = np.argwhere(aps * aps > 4 * P)
+        if len(over):
+            i, k = over[0]
+            raise InvariantViolation(f"Hasse-Weil violated at p={band[i]}: a_p = {aps[i, k]}")
         for row in aps.T.tolist():
             rows.append([None] * lo + row + [None] * (len(primes) - hi))
 

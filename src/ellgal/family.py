@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import kronecker, least_nonresidue, primes_up_to
+from .arith import kronecker, least_nonresidue, primes_up_to, valuation
 from .curve import SingularModel, WeierstrassModel, trace_tables
 from .curve import trace_table  # noqa: F401  (kept as family.trace_table)
 from .galois import pair_bound, pair_witness
@@ -264,26 +264,36 @@ def _family(D):
     return power, build, next((p for p in base.locals if p >= 5), None)
 
 
+def _class_moduli(power):
+    """(m_2, m_3): units of Z_p agree mod m_p exactly when they differ by a power-th
+    power, 1 + m_p Z_p, as Z_2^* = {+-1} x (1 + 4Z_2) and Z_3^* = {+-1} x (1 + 3Z_3)
+    (Serre, A Course in Arithmetic, II.3) and the power is even."""
+    return 4 * 2 ** valuation(power, 2), 3 * 3 ** valuation(power, 3)
+
+
 def _census_family(D, tops, primes):
     """Members of one CM family with conductor <= each top.
 
     A twist d = sign * 2^a * 3^b * u, 0 <= a, b < power, u = prod p^e_p prime to 6
     (m = prod p squarefree, 1 <= e_p < power) has conductor big * 2^f2 * 3^f3 with
-    big = q^fq * prod p^2 over p | m, p != q. f2 and f3 depend only on (sign, a, b)
-    and u mod 432, so each residue keeps one sorted list of 2^f2 * 3^f3 over
-    (sign, a, b). m grows depth-first from 1, one prime of the ascending `primes`
-    (5 <= p) at a time, and each step folds the new prime's exponent vectors into
-    its parent's count per residue. q goes first, since it alone leaves big as it
-    is; after it big grows with p, so a branch ends at the first p that takes
-    big * (least list entry) above the top. Families with a q are quadratic: fq
-    must agree over q^v * unit, v in {0, 1}, unit a residue or not.
+    big = q^fq * prod p^2 over p | m, p != q. A twist by a power-th power is the
+    same curve over Q_p, so f2 and f3 depend only on (sign, a, b) and u's power
+    classes, u mod M = m_2 * m_3 (24, 48 or 72), and each residue mod M keeps one
+    sorted list of 2^f2 * 3^f3 over (sign, a, b). m grows depth-first from 1, one
+    prime of the ascending `primes` (5 <= p) at a time, and each step folds the
+    new prime's exponent vectors into its parent's count per residue. q goes first,
+    since it alone leaves big as it is; after it big grows with p, so a branch ends
+    at the first p that takes big * (least list entry) above the top. Families with
+    a q are quadratic: fq must agree over q^v * unit, v in {0, 1}, unit a residue or not.
     """
     power, build, q = _family(D)
+    m2, m3 = _class_moduli(power)
+    M = m2 * m3
     memo = {}
 
     def f(p, v, unit):
-        """f_p of the twist by p^v * unit, whose p-adic class is unit mod 16, 27 or q."""
-        key = (p, v % power, unit % (16 if p == 2 else 27 if p == 3 else p))
+        """f_p of the twist by p^v * unit, whose class at p is unit mod m_2, m_3 or q."""
+        key = (p, v % power, unit % {2: m2, 3: m3}.get(p, p))
         if key not in memo:
             memo[key] = tate(build(p**v * key[2]), p).f
         return memo[key]
@@ -291,16 +301,16 @@ def _census_family(D, tops, primes):
     span = range(power)
     twists = [(sign, a, b) for sign in (1, -1) for a in span for b in span]
     # p^f_p over the twists, for each class of u at p
-    at2 = {r: [2 ** f(2, a, sign * 3**b * r) for sign, a, b in twists] for r in range(1, 16, 2)}
+    at2 = {r: [2 ** f(2, a, sign * 3**b * r) for sign, a, b in twists] for r in range(1, m2, 2)}
     at3 = {
-        r: [3 ** f(3, b, sign * 2**a * r) for sign, a, b in twists] for r in range(1, 27) if r % 3
+        r: [3 ** f(3, b, sign * 2**a * r) for sign, a, b in twists] for r in range(1, m3) if r % 3
     }
     fq = {f(q, v, unit) for v in (0, 1) for unit in (1, least_nonresidue(q))} if q else {0}
     if len(fq) != 1:
         raise RuntimeError(f"f_q varies over the twists of D={D} at q={q}: {sorted(fq)}")
     qf = (q or 1) ** fq.pop()
-    units = [r for r in range(1, 432, 2) if r % 3]
-    lists = {r: sorted(x * y for x, y in zip(at2[r % 16], at3[r % 27])) for r in units}
+    units = [r for r in range(1, M, 2) if r % 3]
+    lists = {r: sorted(x * y for x, y in zip(at2[r % m2], at3[r % m3])) for r in units}
     floor = min(factors[0] for factors in lists.values())
     order = sorted(primes, key=lambda p: p != q)  # q first, the rest still ascending
     top = tops[-1]
@@ -314,11 +324,11 @@ def _census_family(D, tops, primes):
             child = big if p == q else big * p * p
             if child * floor > top:
                 break
-            steps = [pow(p, e, 432) for e in range(1, power)]
+            steps = [pow(p, e, M) for e in range(1, power)]
             folded = {}
             for r, k in classes.items():
                 for t in steps:
-                    folded[r * t % 432] = folded.get(r * t % 432, 0) + k
+                    folded[r * t % M] = folded.get(r * t % M, 0) + k
             walk(i + 1, child, folded)
 
     walk(0, qf, {1: 1})

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import factorize, kronecker, valuation
+from .arith import InvariantViolation, factorize, kronecker, valuation
 from .curve import WeierstrassModel
 
 
@@ -14,13 +14,6 @@ class NotAdditivePotGood(Exception):
 
 class PreconditionFailed(Exception):
     pass
-
-
-class InvariantViolation(Exception):
-    """An exact invariant of the reduction failed: a conductor-exponent bound (f >= 1
-    at every bad prime, f <= 8, 5, 2 at 2, 3, p >= 5), the additive radical against
-    the conductor, an impossible valuation pair at p >= 5, or Tate's step 11 reached
-    on a p-minimal model. The CLI maps this to exit code 2."""
 
 
 _BIG = 10**9

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import click
@@ -178,6 +181,68 @@ def test_bad_prime_with_f_0_is_an_invariant_violation(runner, monkeypatch, curve
     res = runner.invoke(cli.main, ["ap", curve, "-X", "50"])
     assert res.exit_code == 2 and res.stdout == ""
     assert res.stderr.startswith("invariant violation:") and res.stderr.count("\n") == 1
+
+
+# a count made wrong on one route at a time; adding p puts a_p outside the
+# Hasse-Weil interval at every p > 16. -X 50 stays in the naive batch (below
+# TABLE_CROSSOVER) and -X 2100 reaches the lanes; the scalar BSGS counts the
+# pairs the lanes leave, here all of them.
+_WRONG_COUNTS = {
+    "naive batch": ("50", {"_affine_counts": lambda f: lambda a, b, p: f(a, b, p) + p}),
+    "lane": (
+        "2100",
+        {
+            "_count_bsgs_lanes": lambda f: lambda A, B, P, states: [
+                None if n is None else n + p for n, p in zip(f(A, B, P, states), P)
+            ]
+        },
+    ),
+    "scalar BSGS": (
+        "2100",
+        {
+            "_count_bsgs_lanes": lambda f: lambda A, B, P, states: [None] * len(P),
+            "_count_bsgs": lambda f: lambda a, b, p: f(a, b, p) + p,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_WRONG_COUNTS))
+def test_wrong_count_is_an_invariant_violation(runner, monkeypatch, route):
+    import ellgal.curve as curve
+
+    bound, wrong = _WRONG_COUNTS[route]
+    for name, make in wrong.items():
+        monkeypatch.setattr(curve, name, make(getattr(curve, name)))
+    res = runner.invoke(cli.main, ["ap", "0,0,1,-1,0", "-X", bound])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.startswith("invariant violation: Hasse-Weil violated at p=")
+    assert res.stderr.count("\n") == 1
+
+
+def test_wrong_count_exits_2_under_python_O():
+    # python -O strips assert statements, so the Hasse-Weil check must be a raise
+    code = (
+        "import ellgal.curve as curve\n"
+        "count = curve._affine_counts\n"
+        "curve._affine_counts = lambda a, b, p: count(a, b, p) + p\n"
+        "from ellgal.cli import main\n"
+        "main(['ap', '0,0,1,-1,0', '-X', '50'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("invariant violation: Hasse-Weil violated at p=")
+    assert res.stderr.count("\n") == 1
+
+
+def test_invariant_violation_is_one_class():
+    import ellgal
+    import ellgal.arith as arith
+
+    assert ellgal.InvariantViolation is localdata.InvariantViolation is arith.InvariantViolation
 
 
 def _report(res, fmt):

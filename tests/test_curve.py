@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ellgal.curve as curve
-from ellgal.arith import is_prime, kronecker, least_nonresidue, primes_up_to
+from ellgal.arith import InvariantViolation, is_prime, kronecker, least_nonresidue, primes_up_to
 from ellgal.curve import (
     LANE_LIMIT,
     TABLE_CROSSOVER,
@@ -64,6 +64,13 @@ def test_invariants_examples():
     assert m.j_invariant() == 1728
     # y^2 + y = x^3 - x: (b2, b4, b6, b8, c4, c6, Delta, j)
     assert curve.invariants(E37) == (0, -2, 1, -1, 48, -216, 37, Fraction(110592, 37))
+
+
+def test_invariants_relations_raise_not_assert(monkeypatch):
+    # a hard error under python -O too: the identity c4^3 - c6^2 = 1728 Delta fails
+    monkeypatch.setattr(WeierstrassModel, "discriminant", lambda self: 1)
+    with pytest.raises(InvariantViolation, match="relations fail"):
+        curve.invariants(E37)
 
 
 def test_invariant_relations():

@@ -308,13 +308,52 @@ def test_cm_census_memo_agrees_with_global_reduce():
         _check_exact_counts(D, [global_reduce(quadratic_twist(base, d)).conductor for d in twists])
 
     for D, power, model in ((-4, 4, quartic_twist_model), (-3, 6, sextic_twist_model)):
-        # 5^e * 11^f falls into fewer unit classes mod (16, 27) than it has vectors
+        # 5^e * 11^f falls into fewer unit classes mod (m_2, m_3) than it has vectors
         conductors = [
             global_reduce(model(sign * 2**a * 3**b * u)).conductor
             for unit_primes in ([], [5, 11])
             for sign, a, b, u in _power_twists(power, unit_primes)
         ]
         _check_exact_counts(D, conductors)
+
+
+def test_power_classes_fix_f_at_2_and_3():
+    # the census runs Tate at 2 and 3 once per class of a twist's unit mod m_p
+    # (_class_moduli); on every twist sign * 2^a * 3^b * u of each family, u odd
+    # mod 16 at 2 and prime to 3 mod 27 at 3, f must equal f on p^v_p(d) times
+    # the class representative (unit mod m_p)
+    for D in sorted(CM_BASES):
+        power, build, _ = family._family(D)
+        moduli = dict(zip((2, 3), family._class_moduli(power)))
+        memo = {}
+
+        def f(d, p):
+            if (d, p) not in memo:
+                memo[d, p] = tate(build(d), p).f
+            return memo[d, p]
+
+        at3 = [u for u in range(1, 27) if u % 3]
+        for sign, a, b in itertools.product((1, -1), range(power), range(power)):
+            for p, v, units in ((2, a, range(1, 16, 2)), (3, b, at3)):
+                for u in units:
+                    d = sign * 2**a * 3**b * u
+                    rep = p**v * (d // p**v % moduli[p])
+                    assert f(d, p) == f(rep, p), (D, p, sign, a, b, u)
+
+
+def test_cm_census_runs_tate_once_per_class(monkeypatch):
+    # per family, power * (m_2 / 2 + phi(m_3)) runs at 2 and 3: 11 quadratic
+    # families at 2 * (4 + 2), the quartic at 4 * (8 + 2), the sextic at 6 * (4 + 6);
+    # and 4 at q for each of the 7 families whose base is bad at some q >= 5
+    runs = Counter()
+
+    def tate(model, p):
+        runs["2, 3" if p < 5 else "q"] += 1
+        return localdata.tate(model, p)
+
+    monkeypatch.setattr(family, "tate", tate)
+    cm_census(10**7)
+    assert runs == {"2, 3": 232, "q": 28}
 
 
 class _ExponentOracle:
