@@ -12,10 +12,9 @@ import click
 
 from . import family as familymod
 from . import galois, symprime
-from .arith import IncompleteFactorization, InvariantViolation, is_prime
+from .arith import InvariantViolation, is_prime
 from .curve import SingularModel, WeierstrassModel, trace_table, trace_tables
 from .localdata import global_reduce, phi_order, tate
-from .localdata import NotAdditivePotGood
 
 
 class ParseReject(Exception):
@@ -71,7 +70,7 @@ def _exit_policy():
         _fail(1, "parse error", str(exc))
     except InvariantViolation as exc:
         _fail(2, "invariant violation", str(exc))
-    except (IncompleteFactorization, RuntimeError, MemoryError, OverflowError) as exc:
+    except Exception as exc:
         _fail(2, "internal error", f"{type(exc).__name__}: {exc}")
 
 
@@ -89,6 +88,9 @@ class _Main(click.Group):
 
 
 fmt_option = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+input_format_option = click.option(
+    "--input-format", type=click.Choice(["csvAinvariants", "jsonLines"]), default=None
+)
 
 
 @click.group(cls=_Main, no_args_is_help=False)
@@ -231,7 +233,7 @@ def _ingest_checked(path, input_format):
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--filter", "tag", type=click.Choice(["all", "ss", "add12", "cm"]), default="all")
 @click.option("-N", "ceiling", type=int, required=True)
-@click.option("--input-format", type=click.Choice(["csvAinvariants", "jsonLines"]), default=None)
+@input_format_option
 @fmt_option
 def family_cmd(file, tag, ceiling, input_format, fmt):
     """Conductor-ordered family built from a curve corpus file."""
@@ -261,7 +263,7 @@ def family_cmd(file, tag, ceiling, input_format, fmt):
 @click.option("-X", "bound", type=int, required=True)
 @click.option("--sample", "cap", type=int, default=1000)
 @click.option("--seed", type=int, default=0)
-@click.option("--input-format", type=click.Choice(["csvAinvariants", "jsonLines"]), default=None)
+@input_format_option
 @fmt_option
 def pairs(file, bound, cap, seed, input_format, fmt):
     """Pair witness statistics over a corpus."""
@@ -289,7 +291,7 @@ def cm_census_cmd(ceiling, fmt):
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--pair", "labels", required=True, help="two corpus labels, comma separated")
 @click.option("-X", "scale", type=float, required=True)
-@click.option("--input-format", type=click.Choice(["csvAinvariants", "jsonLines"]), default=None)
+@input_format_option
 @fmt_option
 def symsum(file, labels, scale, input_format, fmt):
     """Smooth diagonal and cross sums of symmetric-square coefficients."""

@@ -336,34 +336,29 @@ def _census_family(D, tops, primes):
     return counts
 
 
-def cm_census(ceiling: int, ladder=None) -> dict:
-    """Count CM curves (over the thirteen rational CM j-invariants) by conductor."""
-    if ceiling < 1 or any(n < 1 for n in ladder or ()):
-        raise ValueError(f"conductor ceilings must be positive: {ceiling}, ladder {ladder}")
+def cm_census(ceiling: int) -> dict:
+    """Count CM curves (over the thirteen rational CM j-invariants) by conductor, at
+    the ceilings 10^3, 10^4, ... below `ceiling` and at `ceiling` itself, and fit the
+    counts' log-log slope when there are two ceilings or more and none counts 0."""
+    if ceiling < 1:
+        raise ValueError(f"conductor ceilings must be positive: {ceiling}")
     validate_cm_bases()
-    if ladder is None:
-        ladder = []
-        N = 1000
-        while N < ceiling:
-            ladder.append(N)
-            N *= 10
-        ladder.append(ceiling)
-    ladder = sorted(set(n for n in ladder if n <= ceiling))
-    if not ladder:
-        ladder = [ceiling]
-    # perJInvariant counts every member up to the ceiling, even above the ladder's top
-    tops = ladder if ladder[-1] == ceiling else ladder + [ceiling]
+    tops = []
+    N = 1000
+    while N < ceiling:
+        tops.append(N)
+        N *= 10
+    tops.append(ceiling)
     primes = primes_up_to(math.isqrt(ceiling))[2:]
-    totals = [0] * len(tops)
+    counts = [0] * len(tops)
     per_j = {}
     for D in sorted(CM_BASES):
         family = _census_family(D, tops, primes)
-        totals = [t + c for t, c in zip(totals, family)]
+        counts = [t + c for t, c in zip(counts, family)]
         if family[-1]:
             per_j[str(CM_BASES[D][1])] = family[-1]
-    counts = totals[: len(ladder)]
-    if len(ladder) >= 2 and all(c > 0 for c in counts):
-        logs_n = np.log([float(n) for n in ladder])
+    if len(tops) >= 2 and all(c > 0 for c in counts):
+        logs_n = np.log([float(n) for n in tops])
         logs_c = np.log([float(c) for c in counts])
         slope, intercept = np.polyfit(logs_n, logs_c, 1)
         resid = float(np.sum((logs_c - (slope * logs_n + intercept)) ** 2))
@@ -371,9 +366,9 @@ def cm_census(ceiling: int, ladder=None) -> dict:
     else:
         exponent, residual = None, None
     return {
-        "ceilings": list(ladder),
+        "ceilings": tops,
         "counts": counts,
-        "ratioToSqrt": [c / math.sqrt(n) for c, n in zip(counts, ladder)],
+        "ratioToSqrt": [c / math.sqrt(n) for c, n in zip(counts, tops)],
         "perJInvariant": per_j,
         "fittedExponent": exponent,
         "fitResidual": residual,

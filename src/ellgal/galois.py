@@ -226,20 +226,12 @@ def joint_surjectivity_test(red1, t1, red2, t2, ell, X=None) -> JointResult:
     return JointResult("undetermined", "no witness in range", None)
 
 
-def curve_constant(red: GlobalReduction) -> int:
-    """c(E) of the comparison bound: 7 for a semistable curve, 37 otherwise."""
-    return 7 if red.semistable else 37
-
-
-def ceil_four_sqrt(p: int) -> int:
-    """ceil(4 sqrt(p)), exactly."""
-    root = math.isqrt(16 * p)
-    return root if root * root == 16 * p else root + 1
-
-
 def pair_bound(red1: GlobalReduction, red2: GlobalReduction, p: int) -> int:
-    """max{c(E1), c(E2), ceil(4 sqrt(p))} for a trace-distinguishing prime p."""
-    return max(curve_constant(red1), curve_constant(red2), ceil_four_sqrt(p))
+    """max{c(E1), c(E2), ceil(4 sqrt(p))} for a trace-distinguishing prime p, with
+    c(E) = 7 for a semistable curve and 37 otherwise; the ceiling is exact."""
+    c = 7 if red1.semistable and red2.semistable else 37
+    root = math.isqrt(16 * p)
+    return max(c, root if root * root == 16 * p else root + 1)
 
 
 def comparison_bound(red1, t1, red2, t2, X=None) -> ComparisonResult:
@@ -307,18 +299,16 @@ def prune_epsilon(cands: EpsilonCandidateSet, table: TraceTable, ell: int) -> Ep
     return EpsilonCandidateSet(cands.ell, cands.support, tuple(survivors), counts)
 
 
-def script_l_scan(red: GlobalReduction, table: TraceTable, window, X=None) -> ScriptLReport:
-    """Non-surjective ell = 1 (mod 4) in the window, with a joint divisibility witness."""
+def script_l_scan(red: GlobalReduction, table: TraceTable, window: int, X=None) -> ScriptLReport:
+    """Non-surjective ell = 1 (mod 4) among the primes up to `window`, with a joint
+    divisibility witness."""
     if X is None:
         X = table.bound
     n = table.upto(X)
-    if isinstance(window, int):
-        window = primes_up_to(window)
-    window = set(window)
     apg = {p for p, loc in red.locals.items() if loc.red_type == "additive" and loc.pot_good}
     ells = []
     survivors = {}
-    for ell in sorted(window):
+    for ell in primes_up_to(window):
         if ell % 4 != 1 or ell < 5 or ell in apg:
             continue
         try:
@@ -337,7 +327,7 @@ def script_l_scan(red: GlobalReduction, table: TraceTable, window, X=None) -> Sc
         return ScriptLReport((), None, None, 1, True)
     prod = math.prod(ells)
     for p, ap in zip(table.primes[:n], table.aps):
-        if ap == 0 or p in window or p in table.bad:
+        if ap == 0 or p <= window or p in table.bad:
             continue
         if all(any(kronecker(m, p) == -1 for m in survivors[l]) for l in ells):
             consistent = ap % prod == 0 and prod * prod <= 4 * p

@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, kronecker, primes_up_to
+from .arith import InvariantViolation, factorize, kronecker, primes_up_to
 from .curve import TraceTable
 from .galois import pair_witness
 
 
-class RamanujanViolation(Exception):
-    pass
+class RamanujanViolation(InvariantViolation):
+    """a_p^2 > 4p: the Hasse-Weil bound fails."""
 
 
 class CoefficientGap(Exception):

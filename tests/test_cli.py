@@ -17,7 +17,10 @@ import ellgal.cli as cli
 import ellgal.family as family
 import ellgal.localdata as localdata
 from ellgal.arith import IncompleteFactorization
+from ellgal.curve import BadReduction
 from ellgal.family import report_parse_csv
+from ellgal.galois import NoCommonWitness
+from ellgal.symprime import CoefficientGap, RamanujanViolation
 
 
 @pytest.fixture()
@@ -508,6 +511,35 @@ def test_bound_the_sieve_cannot_hold_exits_2(runner, small_corpus_csv, monkeypat
     res = runner.invoke(cli.main, ["ap", "0,0,1,-1,0", "-X", "100"])
     assert res.stdout == ""
     _assert_internal_failure(res, "internal error: MemoryError")
+
+
+_INTERNAL_FAILURES = [
+    (RamanujanViolation("a_p^2 > 4p at p=5"), "invariant violation: a_p^2 > 4p at p=5"),
+    (CoefficientGap("gap"), "internal error: CoefficientGap: gap"),
+    (BadReduction("bad"), "internal error: BadReduction: bad"),
+    (localdata.NotAdditivePotGood("good"), "internal error: NotAdditivePotGood: good"),
+    (localdata.PreconditionFailed("pre"), "internal error: PreconditionFailed: pre"),
+    (NoCommonWitness("none"), "internal error: NoCommonWitness: none"),
+    (ValueError("value"), "internal error: ValueError: value"),
+    (KeyError("key"), "internal error: KeyError: 'key'"),
+]
+
+
+@pytest.mark.parametrize(
+    "exc, line", _INTERNAL_FAILURES, ids=[type(exc).__name__ for exc, _ in _INTERNAL_FAILURES]
+)
+def test_every_internal_failure_exits_2(runner, monkeypatch, exc, line):
+    # whatever a command raises past its input checks is an internal failure:
+    # exit 2, one stderr line and nothing on stdout, never a traceback under exit 1
+    def fail(model):
+        raise exc
+
+    monkeypatch.setattr(cli, "global_reduce", fail)
+    res = runner.invoke(cli.main, ["ap", "0,0,1,-1,0", "-X", "50"])
+    assert res.exit_code == 2, res.stderr
+    assert isinstance(res.exception, SystemExit)  # no traceback escaped
+    assert res.stdout == ""
+    assert res.stderr == line + "\n"
 
 
 def test_ap_command(runner):
