@@ -28,14 +28,14 @@ class BadReduction(Exception):
 # per (curve, prime), naive batch / BSGS batch (lanes of all the batch's
 # curves, both passes), medians of five, two runs on 2 vCPU.
 # The 24 corpus-scan curves of seed 1 in one batch:
-#   [1024, 2048) 11.2/14.9  12.4/17.1   [2048, 3072) 17.5/10.6  20.6/18.0
-#   [3072, 4096) 16.8/10.4  26.6/17.9   [4096, 5120) 23.5/10.8  34.0/11.5
-#   [5120, 6144) 46.3/18.6  52.3/13.0   [6144, 8192) 67.5/11.8  72.9/17.2
+#   [1024, 2048) 10.1/11.5   6.8/7.5    [2048, 3072) 16.9/8.2  11.5/8.1
+#   [3072, 4096) 14.7/7.7   14.9/7.8    [4096, 5120) 19.7/7.9  20.5/8.4
+#   [5120, 6144) 37.6/8.2   41.5/8.5    [6144, 8192) 56.9/8.0  54.9/8.0
 # Four curves (37a, 389a, 11a, [1,-1,1,-1,-14]), each in a batch of its own:
-#   [1024, 2048) 25.6/24.5  44.6/47.8   [2048, 3072) 32.8/27.6  54.5/52.7
-#   [3072, 4096) 40.4/28.5  64.4/42.3   [4096, 5120) 50.8/27.1  65.1/44.8
-# The lanes are ahead from 2048 for a batch of 24 and for a batch of one, and
-# about even with the naive batch over [1024, 2048).
+#   [1024, 2048) 23.4/20.3  22.6/19.7   [2048, 3072) 29.8/22.3  28.8/21.8
+#   [3072, 4096) 37.4/22.1  35.2/22.3   [4096, 5120) 42.0/21.5  41.0/21.2
+# The lanes are ahead from 2048 for a batch of 24 and for a batch of one.
+# Over [1024, 2048) they are ahead for a batch of one but behind for 24.
 TABLE_CROSSOVER = 2048
 
 
@@ -181,11 +181,14 @@ def _ec_mul(n, P, A, p):
 
 
 def _seed(A, B, p):
-    """The generator state `_count_bsgs` starts from, for A and B reduced mod p."""
-    return (A * 2654435761 + B * 40503 + p) % (1 << 31) or 1
+    """The generator state `_count_bsgs` starts from, for A and B reduced mod p:
+    ints, or int64 lanes, where A, B < p < LANE_LIMIT keep the sum below 2^63."""
+    state = (A * 2654435761 + B * 40503 + p) % (1 << 31)
+    return state + (state == 0)
 
 
 def _next_state(state):
+    """The generator's next state, for an int or int64 lanes (state < 2^31)."""
     return (state * 1103515245 + 12345) % (1 << 31)
 
 
@@ -209,27 +212,41 @@ def _point_order(P, A, p, lo, hi):
 
     Baby-step/giant-step finds every n in [lo, hi] with nP = 0.  These are the
     multiples of ord(P) in [lo, hi], and #E(F_p) is one of them, so two hits
-    give ord(P) as their spacing and a single hit is #E(F_p) itself.  An order
-    up to the baby-step count is found, exactly, among the baby steps.
+    give ord(P) as their spacing and a single hit is #E(F_p) itself.  The baby
+    table is keyed by x, so a giant step c serves the whole window c +- i,
+    i <= m, of width 2m + 1 (Shanks-Mestre; Cohen, GTM 138).  An order
+    below 2m is found, exactly, among the baby steps: at infinity (order up to
+    m) or as the first x seen twice, iP = -i'P (order i + i').
     """
-    m = math.isqrt(hi - lo + 1) + 1
-    baby = {}  # iP -> i for 0 <= i < m, all distinct once ord(P) > m
+    m = math.isqrt((hi - lo + 1) // 2) + 1
+    w = 2 * m + 1
+    baby = {}  # x(iP) -> (i, y(iP)) for 1 <= i <= m
     Q = None
-    for i in range(m):
-        baby[Q] = i
+    for i in range(1, m + 1):
         Q = _ec_add(Q, P, A, p)
         if Q is None:
-            return i + 1
-    # lo + j*m + i annihilates P iff (lo + j*m)P = -(iP); Q is now mP
-    R = _ec_mul(lo, P, A, p)
+            return i
+        if Q[0] in baby:
+            return i + baby[Q[0]][0]
+        baby[Q[0]] = i, Q[1]
+    # c + e i annihilates P iff cP = -e iP: e = -1 when y(cP) = y(iP), e = 1
+    # when y(cP) = -y(iP), and both when y = 0, which the table can hold only
+    # at i = m, when ord(P) = 2m; Q is now mP
+    W = _ec_add(_ec_add(Q, Q, A, p), P, A, p)  # wP
+    R = _ec_mul(lo + m, P, A, p)
     hits = []
-    for j in range(m + 1):
-        i = baby.get(None if R is None else (R[0], -R[1] % p))
-        if i is not None and lo + j * m + i <= hi:
-            hits.append(lo + j * m + i)
-            if len(hits) == 2:
-                return hits[1] - hits[0]
-        R = _ec_add(R, Q, A, p)
+    for c in range(lo + m, hi + m + 1, w):
+        if R is None:
+            found = [c]
+        elif R[0] in baby:
+            i, y = baby[R[0]]
+            found = [c - i, c + i] if y == 0 else [c - i if y == R[1] else c + i]
+        else:
+            found = []
+        hits += [n for n in found if n <= hi]
+        if len(hits) >= 2:
+            return hits[1] - hits[0]
+        R = _ec_add(R, W, A, p)
     if not hits:
         raise RuntimeError("no annihilator found in Hasse interval")
     return hits[0]
@@ -282,37 +299,45 @@ def _count_bsgs(A, B, p):
 # Points are x-coordinates (X:Z) on y^2 = x^3 + ax + b, so no lane takes an
 # inverse until one simultaneous inversion per lane at the end.  Every array
 # below holds residues in [0, p) of its lane's prime, and every product of two
-# of them must stay below 2^63.
+# of them must stay below 2^63.  A pass whose largest p is at most _LAZY_LIMIT
+# reduces lazily (Aranha, Karabina, Longa, Gebotys and Lopez, EUROCRYPT 2011):
+# `_xadd` and `_xdbl` then leave some products of three residues unreduced.
 
 LANE_LIMIT = 3_030_000_000  # (LANE_LIMIT - 1)^2 < 2^63
+_LAZY_LIMIT = 2_097_150  # (p - 1)^3 + 8 (p - 1)^2 < 2^63, the largest lazy intermediate
 _LANES = 512  # lanes per pass; its tables hold ~3 p^(1/4) residues per lane
 
 
-def _xdbl(X, Z, a, b4, b8, p):
-    """x(2Q) from x(Q) = (X:Z) (Brier-Joye, PKC 2002)."""
+def _xdbl(X, Z, a, b4, b8, p, lazy):
+    """x(2Q) from x(Q) = (X:Z) (Brier-Joye, PKC 2002); 7 reductions when lazy, else 11."""
     xx, zz, xz = X * X % p, Z * Z % p, X * Z % p
     azz = a * zz % p
     e = xx - azz  # in (-p, p)
-    X2 = (e * e - b8 * xz % p * zz % p) % p
-    Z2 = (4 * ((xx + azz) % p * xz % p) + b4 * (zz * zz % p) % p) % p  # 4Z(X^3 + aXZ^2 + bZ^3)
-    return X2, Z2
+    X2 = (e * e - b8 * xz % p * zz) % p  # a difference of two terms up to (p - 1)^2
+    if lazy:  # 4Z(X^3 + aXZ^2 + bZ^3) below (p - 1)^3 + 8 (p - 1)^2
+        return X2, (4 * (xx + azz) * xz + b4 * zz * zz) % p
+    return X2, (4 * ((xx + azz) % p * xz % p) + b4 * (zz * zz % p) % p) % p
 
 
-def _xadd(X1, Z1, X2, Z2, Xd, Zd, a, b4, p):
-    """x(Q1 + Q2) from x(Q1), x(Q2) and x(Q1 - Q2) = (Xd:Zd) (Brier-Joye).
+def _xadd(X1, Z1, X2, Z2, Xd, Zd, a, b4, p, lazy):
+    """x(Q1 + Q2) from x(Q1), x(Q2) and x(Q1 - Q2) = (Xd:Zd) (Brier-Joye); 8
+    reductions when lazy, else 11.
 
     Exact unless Xd or Zd is 0: x(Q1 - Q2) = 0 gives a false point at infinity
     and Q1 = Q2 gives (0:0), so callers keep such differences out.
     """
     u = Z1 * Z2 % p
     s, v = X1 * Z2 % p, X2 * Z1 % p
-    e = X1 * X2 % p - a * u % p  # x1 x2 - a, in (-p, p)
+    e = (X1 * X2 - a * u) % p  # x1 x2 - a, from a difference of two products
     d = s - v
+    if lazy:  # each product below (p - 1)^3
+        f = b4 * u % p * (s + v) % p
+        return (e * e - f) * Zd % p, d * d * Xd % p
     f = b4 * u % p * ((s + v) % p) % p
     return (e * e - f) % p * Zd % p, d * d % p * Xd % p
 
 
-def _ladder(k, X, Z, a, b4, b8, p):
+def _ladder(k, X, Z, a, b4, b8, p, lazy):
     """x(kQ) for Q = (X:Z) with X, Z != 0, by the Montgomery ladder; also x((k+1)Q).
 
     The two running points always differ by Q, so every addition is exact.
@@ -321,8 +346,8 @@ def _ladder(k, X, Z, a, b4, b8, p):
     X1, Z1 = X.copy(), Z.copy()
     for bit in reversed(range(int(k.max(initial=0)).bit_length())):
         up = (k >> bit) & 1 == 1
-        Xs, Zs = _xadd(X0, Z0, X1, Z1, X, Z, a, b4, p)
-        Xt, Zt = _xdbl(np.where(up, X1, X0), np.where(up, Z1, Z0), a, b4, b8, p)
+        Xs, Zs = _xadd(X0, Z0, X1, Z1, X, Z, a, b4, p, lazy)
+        Xt, Zt = _xdbl(np.where(up, X1, X0), np.where(up, Z1, Z0), a, b4, b8, p, lazy)
         X0, Z0, X1, Z1 = (
             np.where(up, Xs, Xt), np.where(up, Zs, Zt), np.where(up, Xt, Xs), np.where(up, Zt, Zs)
         )
@@ -347,13 +372,14 @@ def _y_tilde(xQ, xK, xKQ, a, b2, p):
     return (e + b2 - xKQ * (d * d % p) % p) % p
 
 
-def _count_bsgs_lanes(A, B, primes, states):
-    """#E(F_p) of y^2 = x^3 + A[k]x + B[k] over F_p, p = primes[k], for each lane
-    k of one pass, or None where the lane does not pin it.
+def _count_bsgs_lanes(A, B, p, states):
+    """#E(F_p) of y^2 = x^3 + A[k]x + B[k] over F_p, p = p[k], for each lane k
+    of one pass, as an int64 array, or 0 where the lane does not pin it.
 
-    A and B are residues mod p.  A pass holds at most _LANES lanes, each p >= 5
-    and below LANE_LIMIT, and may mix curves and bit lengths; its step counts
-    come from its largest p.  Lane k draws x = states[k] mod p, as
+    A, B, p and states are int64 arrays, A and B residues mod p.  A pass holds
+    at most _LANES lanes, each p >= 5 and below LANE_LIMIT, and may mix curves
+    and bit lengths; its step counts, and whether it reduces lazily, come from
+    its largest p.  Lane k draws x = states[k] mod p, as
     `_random_point` does from the state it has just stepped to, and takes
     P = (rx, r^2) on y^2 = x^3 + ar x + br, with ar = A r^2 and br = B r^3.  It
     finds every n in the Hasse interval with nP = 0: baby steps x(iP) for
@@ -371,21 +397,20 @@ def _count_bsgs_lanes(A, B, primes, states):
     neither or both signs hold (y = 0 gives both), x(jG) = x(G), or (j+1)G is
     at infinity.
     """
-    lanes = len(primes)
-    p = np.array(primes, dtype=np.int64)
-    Ap, Bp = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
-    x = np.array(states, dtype=np.int64) % p
-    r = (x * x % p * x % p + Ap * x % p + Bp) % p
+    lanes = len(p)
+    x = states % p
+    r = (x * x % p * x % p + A * x % p + B) % p
     ok = r != 0
     r[~ok] = 1
     rr = r * r % p
-    a, b = Ap * rr % p, Bp * (rr * r % p) % p
+    a, b = A * rr % p, B * (rr * r % p) % p
     b4, b8 = 4 * b % p, 8 * b % p
+    lazy = int(p.max()) <= _LAZY_LIMIT
     curve = (a, b4, b8, p)
     xP, one = r * x % p, np.ones_like(p)
-    side = _lane_pow(r, (p - 1) // 2, p) == 1
 
-    s = np.array([math.isqrt(4 * q) + 1 for q in primes], dtype=np.int64)
+    # isqrt(4p) + 1: the floor of a correctly rounded square root is exact below 2^52
+    s = np.sqrt(4 * p).astype(np.int64) + 1
     lo, hi = p + 1 - s, p + 1 + s
     m = math.isqrt(int(s.max())) + 1
     w = 2 * m + 1
@@ -398,39 +423,44 @@ def _count_bsgs_lanes(A, B, primes, states):
     X = np.empty((g + J + 1, lanes), dtype=np.int64)
     Z = np.empty_like(X)
     X[0], Z[0] = xP, one
-    X[1], Z[1] = _xdbl(xP, one, *curve)
+    X[1], Z[1] = _xdbl(xP, one, *curve, lazy)
     for i in range(2, m + 1):
-        X[i], Z[i] = _xadd(X[i - 1], Z[i - 1], xP, one, X[i - 2], Z[i - 2], a, b4, p)
-    X[m + 1], Z[m + 1] = GX, GZ = _xadd(X[m], Z[m], X[m - 1], Z[m - 1], xP, one, a, b4, p)
-    X[m + 2], Z[m + 2] = _xdbl(X[m], Z[m], *curve)
+        X[i], Z[i] = _xadd(X[i - 1], Z[i - 1], xP, one, X[i - 2], Z[i - 2], a, b4, p, lazy)
+    X[m + 1], Z[m + 1] = GX, GZ = _xadd(X[m], Z[m], X[m - 1], Z[m - 1], xP, one, a, b4, p, lazy)
+    X[m + 2], Z[m + 2] = _xdbl(X[m], Z[m], *curve, lazy)
     ok &= (Z[:g] != 0).all(axis=0) & (X[: m + 2] != 0).all(axis=0)  # X[0] is x(P)
 
-    X[g], Z[g], X[g + 1], Z[g + 1] = _ladder(j_lo, GX, GZ, *curve)
+    X[g], Z[g], X[g + 1], Z[g + 1] = _ladder(j_lo, GX, GZ, *curve, lazy)
     for t in range(g + 1, g + J):
         # the difference is row t - 1: at infinity, row t is G and t + 1 is 2G
-        X[t + 1], Z[t + 1] = _xadd(X[t], Z[t], GX, GZ, X[t - 1], Z[t - 1], a, b4, p)
+        X[t + 1], Z[t + 1] = _xadd(X[t], Z[t], GX, GZ, X[t - 1], Z[t - 1], a, b4, p, lazy)
         at_inf = Z[t - 1] == 0
         if at_inf.any():
             k = np.flatnonzero(at_inf)
-            X[t + 1, k], Z[t + 1, k] = _xdbl(X[t, k], Z[t, k], *(v[k] for v in curve))
+            X[t + 1, k], Z[t + 1, k] = _xdbl(X[t, k], Z[t, k], *(v[k] for v in curve), lazy)
         ok &= X[t - 1] != 0  # infinity is (X:0) with X != 0
 
     # Montgomery's simultaneous inversion along each lane; infinity keeps Z = 1.
     # Forward, X[k] picks up Z[0]..Z[k-1]; backward, inv runs over 1/(Z[0]..Z[k]).
+    # X is reduced once after the backward products, and in a pass that is not
+    # lazy also after the forward ones.  One exponentiation also gives
+    # (r|p) = r^((p-1)/2), whether P lies on E or on its twist.
     inf = Z[g:] == 0
     Z[g:][inf] = 1
     run = Z[0].copy()
     for k in range(1, len(Z)):
         X[k] *= run
-        X[k] %= p
+        if not lazy:
+            X[k] %= p
         run *= Z[k]
         run %= p
-    inv = _lane_pow(run, p - 2, p)
+    side, inv = _lane_pow(np.stack([r, run]), np.stack([(p - 1) // 2, p - 2]), p)
+    side = side == 1
     for k in range(len(Z) - 1, -1, -1):
         X[k] *= inv
-        X[k] %= p
         inv *= Z[k]
         inv %= p
+    X %= p
     del Z
 
     # a giant x equal to a baby x(iP) puts jG = +-iP; x < 2^32, so a key is (lane, x)
@@ -466,37 +496,43 @@ def _count_bsgs_lanes(A, B, primes, states):
     pinned = ok & (np.bincount(ln, minlength=lanes) == 1)
     count = np.zeros(lanes, dtype=np.int64)
     count[ln] = n
-    count = np.where(side, count, 2 * p + 2 - count)
-    return [n if ok else None for n, ok in zip(count.tolist(), pinned.tolist())]
+    return np.where(pinned, np.where(side, count, 2 * p + 2 - count), 0)
 
 
 def _count_bsgs_batch(A, B, primes):
     """#E(F_p) of y^2 = x^3 + A[k]x + B[k] over F_p, p = primes[k], for each k,
-    or None where the lanes leave it to the scalar route; primes ascend, all >= 5.
+    as an int64 array, or 0 where the lanes leave it to the scalar route;
+    primes ascend, all >= 5.
 
     A prime at or above LANE_LIMIT is never sent to a lane.  Every lane first
     takes the point `_count_bsgs` draws first, and the lanes that leave their
     count open take the generator's next point.  Both draws pack consecutive
-    lanes into passes of at most _LANES, which bounds their memory; a pass may
-    mix curves and bit lengths, and takes its step counts from its largest p.
+    lanes into passes of at most _LANES, each built as int64 columns when it
+    is run, which bounds their memory; a pass may mix curves and bit lengths,
+    and takes its step counts from its largest p.  The Hasse-Weil bound is
+    checked once a pass.
     """
-    counts = [None] * len(primes)
-    lanes = range(bisect_left(primes, LANE_LIMIT))
+    counts = np.zeros(len(primes), dtype=np.int64)
+    lanes = np.arange(bisect_left(primes, LANE_LIMIT))
     for draw in (1, 2):
-        left = []
         for start in range(0, len(lanes), _LANES):
-            ks = lanes[start : start + _LANES]
+            ks = lanes[start : start + _LANES].tolist()
             P = [primes[k] for k in ks]
-            Ap = [A[k] % q for k, q in zip(ks, P)]
-            Bp = [B[k] % q for k, q in zip(ks, P)]
-            states = [_seed(a, b, q) for a, b, q in zip(Ap, Bp, P)]
+            p = np.array(P, dtype=np.int64)
+            a = np.array([A[k] % q for k, q in zip(ks, P)], dtype=np.int64)
+            b = np.array([B[k] % q for k, q in zip(ks, P)], dtype=np.int64)
+            state = _seed(a, b, p)
             for _ in range(draw):
-                states = [_next_state(state) for state in states]
-            for k, n in zip(ks, _count_bsgs_lanes(Ap, Bp, P, states)):
-                counts[k] = n
-                if n is None:
-                    left.append(k)
-        lanes = left
+                state = _next_state(state)
+            n = _count_bsgs_lanes(a, b, p, state)
+            ap = p + 1 - n
+            over = np.flatnonzero((n != 0) & (ap * ap > 4 * p))
+            if len(over):
+                raise InvariantViolation(
+                    f"Hasse-Weil violated at p={P[over[0]]}: a_p = {ap[over[0]]}"
+                )
+            counts[ks] = n
+        lanes = lanes[counts[lanes] == 0]
     return counts
 
 
@@ -632,10 +668,10 @@ def _traces(reductions, primes):
     A = [shorts[k][0] for k in K]
     B = [shorts[k][1] for k in K]
     i = hi  # the index of p in primes, which only moves up
-    for k, n, a, b, p in zip(K, _count_bsgs_batch(A, B, Q), A, B, Q):
+    for k, n, a, b, p in zip(K, _count_bsgs_batch(A, B, Q).tolist(), A, B, Q):
         while primes[i] < p:
             i += 1
-        rows[k][i] = _checked_trace(p, _count_bsgs(a % p, b % p, p) if n is None else n)
+        rows[k][i] = p + 1 - n if n else _checked_trace(p, _count_bsgs(a % p, b % p, p))
     for k, red in enumerate(reductions):
         for i in range(lo):
             if primes[i] not in red.locals:

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -195,15 +196,15 @@ _WRONG_COUNTS = {
     "lane": (
         "2100",
         {
-            "_count_bsgs_lanes": lambda f: lambda A, B, P, states: [
-                None if n is None else n + p for n, p in zip(f(A, B, P, states), P)
-            ]
+            "_count_bsgs_lanes": lambda f: lambda A, B, P, states: (
+                (n := f(A, B, P, states)) + P * (n != 0)
+            )
         },
     ),
     "scalar BSGS": (
         "2100",
         {
-            "_count_bsgs_lanes": lambda f: lambda A, B, P, states: [None] * len(P),
+            "_count_bsgs_lanes": lambda f: lambda A, B, P, states: np.zeros_like(P),
             "_count_bsgs": lambda f: lambda a, b, p: f(a, b, p) + p,
         },
     ),
@@ -759,7 +760,9 @@ def test_bsgs_order_not_pinned_exit_code_2(runner, monkeypatch):
     monkeypatch.setattr(curve, "TABLE_CROSSOVER", 700)
     monkeypatch.setattr(curve, "_point_order", lambda P, A, p, lo, hi: 1)
     # the batched lanes would pin p = 701 on their own: leave every one to _count_bsgs
-    monkeypatch.setattr(curve, "_count_bsgs_batch", lambda A, B, primes: [None] * len(primes))
+    monkeypatch.setattr(
+        curve, "_count_bsgs_batch", lambda A, B, primes: np.zeros(len(primes), dtype=np.int64)
+    )
     res = runner.invoke(cli.main, ["ap", "0,0,1,-1,0", "-X", "710"])
     _assert_internal_failure(res, "group order not pinned down at p=701")
 

@@ -213,9 +213,13 @@ def test_point_order_contract():
     # _point_order returns a divisor d of #E(F_p) whose multiples in the Hasse
     # window are exactly the n there with nP = 0; every point for p < 100 on
     # each curve and its quadratic twist, eight random ones above from
-    # _random_point, which must land on both sides
+    # _random_point, which must land on both sides.  y^2 = x^3 + 2x is a
+    # quartic twist of y^2 = x^3 - x at p = 13.  The y = 0 case: when
+    # ord(P) = 2m, mP = (x, 0) is the last baby step, and a giant step meeting
+    # that x annihilates with both signs
     primes = [p for p in primes_up_to(100) if p >= 5] + [211, 1009, 2003, 4001, 10007, 65537]
-    for model in ORACLE_CURVES:
+    y0 = 0
+    for model in ORACLE_CURVES + (WeierstrassModel(0, 0, 0, 2, 0),):
         for p in primes:
             loc = tate(model, p)
             if loc.f:
@@ -240,6 +244,9 @@ def test_point_order_contract():
                     orders[a, b] = _naive_count(a, b, p)
                 d = _point_order(P, a, p, lo, hi)
                 assert orders[a, b] % d == 0, (model.ainvs(), p, P)
+                m = math.isqrt((hi - lo + 1) // 2) + 1
+                half = _ec_mul(m, P, a, p)
+                y0 += d == 2 * m and half is not None and half[1] == 0
                 killed = set()
                 R = _ec_mul(lo, P, a, p)
                 for n in range(lo, hi + 1):
@@ -247,6 +254,7 @@ def test_point_order_contract():
                         killed.add(n)
                     R = _ec_add(R, P, a, p)
                 assert killed == set(range(lo + (-lo) % d, hi + 1, d)), (model.ainvs(), p, P)
+    assert y0 > 100
 
 
 @given(
@@ -336,7 +344,7 @@ def _short(model):
 def _batch(A, B, primes):
     """{p: #E(F_p)} the BSGS lanes pin for one curve y^2 = x^3 + Ax + B."""
     counts = _count_bsgs_batch([A] * len(primes), [B] * len(primes), primes)
-    return {p: n for p, n in zip(primes, counts) if n is not None}
+    return {p: n for p, n in zip(primes, counts.tolist()) if n}
 
 
 def test_batched_bsgs_matches_naive_and_scalar_below_3000():
@@ -371,6 +379,77 @@ def test_batched_bsgs_exact_near_int64_bound():
         assert len(counts) >= len(primes) - 2, model.ainvs()
         for p, n in counts.items():
             assert n == _count_bsgs(A % p, B % p, p), (model.ainvs(), p)
+
+
+def test_lazy_reduction_exact_up_to_its_bound():
+    # the lazy formulas on int64 lanes against the same formulas on Python
+    # ints, which cannot overflow: every residue p - 1 (each product at its
+    # largest) and random residues, at the bound, at the largest prime under
+    # it, and at the largest p the lanes take
+    rng = random.Random(20261022)
+    for p in (curve._LAZY_LIMIT, 2_097_143, LANE_LIMIT - 1):
+        lazy = p <= curve._LAZY_LIMIT
+        rows = [[p - 1] * 9] + [[rng.randrange(p) for _ in range(9)] for _ in range(200)]
+        cols = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+        X1, Z1, X2, Z2, Xd, Zd, a, b4, b8 = cols
+        P = np.full_like(X1, p)
+        got = curve._xadd(X1, Z1, X2, Z2, Xd, Zd, a, b4, P, lazy) + curve._xdbl(
+            X1, Z1, a, b4, b8, P, lazy
+        )
+        for k, row in enumerate(rows):
+            x1, z1, x2, z2, xd, zd, ak, b4k, b8k = row
+            want = curve._xadd(x1, z1, x2, z2, xd, zd, ak, b4k, p, False) + curve._xdbl(
+                x1, z1, ak, b4k, b8k, p, False
+            )
+            assert tuple(int(column[k]) for column in got) == want, (p, row)
+    assert (curve._LAZY_LIMIT - 1) ** 3 + 8 * (curve._LAZY_LIMIT - 1) ** 2 < 2**63
+    assert curve._LAZY_LIMIT**3 + 8 * curve._LAZY_LIMIT**2 >= 2**63
+
+
+@pytest.mark.parametrize("top, left", [(2_097_143, 0), (2_097_169, 1)])
+def test_lanes_either_side_of_the_lazy_bound(top, left):
+    # one pass whose largest prime is the largest prime under _LAZY_LIMIT (it
+    # reduces lazily) or the next prime (it does not): 37a and 389a at the 136
+    # primes in (top - 2000, top], and random curves up to 512 lanes.  An
+    # int64 overflow would show only as more lanes left to the scalar route,
+    # so their count is pinned at that of fully reduced formulas on these lanes
+    primes = [q for q in range(top - 2000, top + 1) if is_prime(q)]
+    rng = random.Random(top)
+    lanes = [(*_short(model), q) for model in (E37, E389) for q in primes]
+    while len(lanes) < 512:
+        q = rng.choice(primes)
+        A, B = rng.randrange(q), rng.randrange(q)
+        if (4 * A**3 + 27 * B * B) % q:
+            lanes.append((A, B, q))
+    lanes.sort(key=lambda lane: lane[2])
+    A, B, P = ([A % q for A, _, q in lanes], [B % q for _, B, q in lanes], [q for *_, q in lanes])
+    S = [curve._next_state(curve._seed(a, b, q)) for a, b, q in zip(A, B, P)]
+    counts = curve._count_bsgs_lanes(*_columns(A, B, P, S)).tolist()
+    assert max(P) == top and (top <= curve._LAZY_LIMIT) == (top == 2_097_143)
+    assert sum(n == 0 for n in counts) <= left
+    for a, b, p, n in zip(A, B, P, counts):
+        if n:
+            assert n == _count_bsgs(a, b, p), (a, b, p)
+
+
+def test_point_order_takes_fewer_group_operations(monkeypatch):
+    # a count, not a timing: one _point_order on 37a's first point at
+    # p = 10^9 + 7 made 555 additions with the x-keyed table and giant steps of
+    # 2m + 1, where a table of whole points with giant steps of m made 762
+    calls = []
+    add = curve._ec_add
+
+    def counting(*args):
+        calls.append(1)
+        return add(*args)
+
+    p = 1_000_000_007
+    A, B = (c % p for c in _short(E37))
+    P, r, _, _ = _random_point(A, B, p, curve._seed(A, B, p))
+    s = math.isqrt(4 * p) + 1
+    monkeypatch.setattr(curve, "_ec_add", counting)
+    d = _point_order(P, A * r * r % p, p, p + 1 - s, p + 1 + s)
+    assert d == 1000043808 and len(calls) < 762
 
 
 def test_batch_never_takes_a_prime_at_or_above_lane_limit(monkeypatch):
@@ -413,10 +492,10 @@ def test_batched_bsgs_matches_scalar_over_every_bit_length():
     for lo, hi in bands + [(LANE_LIMIT - 10**7, LANE_LIMIT)]:
         lanes += _random_lanes(rng, lo, hi, 150)
     A, B, P = (list(column) for column in zip(*lanes))
-    counts = _count_bsgs_batch(A, B, P)
-    assert sum(n is None for n in counts) <= len(lanes) // 200
+    counts = _count_bsgs_batch(A, B, P).tolist()
+    assert sum(n == 0 for n in counts) <= len(lanes) // 200
     for a, b, p, n in zip(A, B, P, counts):
-        if n is not None:
+        if n:
             assert n == _count_bsgs(a, b, p), (a, b, p)
 
 
@@ -425,10 +504,9 @@ def test_second_pass_counts_on_the_next_point(monkeypatch):
     first_pass = []
 
     def refuse_first_points(A, B, primes, states):
-        first = [curve._next_state(curve._seed(a, b, p)) for a, b, p in zip(A, B, primes)]
-        if states == first:
-            first_pass.extend(primes)
-            return [None] * len(primes)
+        if (states == curve._next_state(curve._seed(A, B, primes))).all():
+            first_pass.extend(primes.tolist())
+            return np.zeros_like(primes)
         return count_lanes(A, B, primes, states)
 
     monkeypatch.setattr(curve, "_count_bsgs_lanes", refuse_first_points)
@@ -436,16 +514,21 @@ def test_second_pass_counts_on_the_next_point(monkeypatch):
     lanes = _random_lanes(rng, 2048, 4096, 300) + _random_lanes(rng, 10**5, 10**6, 300)
     lanes += _random_lanes(rng, 10**9, 2 * 10**9, 100)
     A, B, P = (list(column) for column in zip(*lanes))
-    counts = _count_bsgs_batch(A, B, P)
+    counts = _count_bsgs_batch(A, B, P).tolist()
     assert sorted(first_pass) == P  # every lane went through the first pass, and was refused
     # each pass packs consecutive lanes, so the second pass's passes mix the
     # bands and take their steps from the larger primes: m = 45 or 300 rows of
     # x(iP), and a small lane is left out when one of them has x = 0 (about 2m/p
     # of them) or its order is up to 2m + 2
-    assert sum(n is None for n in counts) <= len(P) // 10
+    assert sum(n == 0 for n in counts) <= len(P) // 10
     for a, b, p, n in zip(A, B, P, counts):
-        if n is not None:
+        if n:
             assert n == _count_bsgs(a, b, p), (a, b, p)
+
+
+def _columns(*lists):
+    """The int64 columns a pass of `_count_bsgs_lanes` takes."""
+    return [np.array(column, dtype=np.int64) for column in lists]
 
 
 def test_lanes_of_a_mixed_pass_match_scalar_bsgs():
@@ -455,15 +538,15 @@ def test_lanes_of_a_mixed_pass_match_scalar_bsgs():
     # lane must be left out.  Counting the undecidable matches pins wrong
     # counts here, on the lane below among others.
     A, B, P, S = [22, 0], [50, 1], [59, 2003], [1873499742, 12345]
-    assert curve._count_bsgs_lanes(A, B, P, S)[0] in (None, _count_bsgs(22, 50, 59))
+    assert curve._count_bsgs_lanes(*_columns(A, B, P, S))[0] in (0, _count_bsgs(22, 50, 59))
     rng = random.Random(2)
     for _ in range(12):
         P = sorted(q for q in (rng.randrange(20, 120) for _ in range(400)) if is_prime(q))
         A, B = [rng.randrange(q) for q in P], [rng.randrange(q) for q in P]
         S = [rng.randrange(1, 1 << 31) for _ in P]
-        counts = curve._count_bsgs_lanes(A + [0], B + [1], P + [2003], S + [1])
-        for a, b, p, n in zip(A, B, P, counts):
-            if n is not None and (4 * a**3 + 27 * b * b) % p:
+        counts = curve._count_bsgs_lanes(*_columns(A + [0], B + [1], P + [2003], S + [1]))
+        for a, b, p, n in zip(A, B, P, counts.tolist()):
+            if n and (4 * a**3 + 27 * b * b) % p:
                 assert n == _count_bsgs(a, b, p), (a, b, p)
 
 
@@ -473,7 +556,9 @@ def test_trace_table_batched_matches_scalar_bsgs(monkeypatch, trace_batches):
         for p, ap in table.good.items():
             assert ap == count_points(model, p, strategy="bsgs"), (model.ainvs(), p)
     # every lane left to the scalar route: the same tables, counted again
-    monkeypatch.setattr(curve, "_count_bsgs_batch", lambda A, B, primes: [None] * len(primes))
+    monkeypatch.setattr(
+        curve, "_count_bsgs_batch", lambda A, B, primes: np.zeros(len(primes), dtype=np.int64)
+    )
     curve._STORE.clear()
     del trace_batches[:]
     for model, table in tables.items():
